@@ -1,14 +1,19 @@
 //! The `dpsd-bin/v1` flat binary synopsis format and the arena-backed
 //! query kernel ([`FlatSynopsis`]).
 //!
-//! JSON and the line-oriented text release are convenient to inspect,
-//! but both pay a parse into pointer-y node structures at load time and
-//! a cache-hostile recursive descent at query time. This module is the
-//! serving-scale alternative: a released synopsis serializes to one
-//! little-endian byte blob of **structure-of-arrays columns** which a
-//! validate-then-index pass loads into a [`FlatSynopsis`] arena — a
-//! handful of contiguous `Vec`s, zero per-node allocation — whose batch
-//! kernel sweeps rect-intersection tests over the raw `f64` slices.
+//! JSON is convenient to inspect, but pays a text parse at load time and
+//! the pointer tree pays a cache-hostile recursive descent at query
+//! time. This module is the serving-scale alternative: a released
+//! synopsis serializes to one little-endian byte blob of
+//! **structure-of-arrays columns** which a validate-then-index pass
+//! loads into a [`FlatSynopsis`] arena — a handful of contiguous `Vec`s,
+//! zero per-node allocation — whose batch kernel sweeps
+//! rect-intersection tests over the raw `f64` slices.
+//!
+//! Both published codecs decode into one column form, checked by one
+//! validator, and the arena is built from those columns without a
+//! tree: JSON through `FlatSynopsis`'s `Deserialize` impl, `dpsd-bin`
+//! through [`FlatSynopsis::from_bytes`].
 //!
 //! Answers are **bit-identical** to the pointer path: the kernel settles
 //! nodes in exactly the same depth-first preorder as
@@ -46,19 +51,19 @@
 //! field are all typed [`DpsdError::Format`] rejections — the decoder
 //! never panics on untrusted input.
 //!
-//! Like the JSON/text formats, post-processed counts are **not** on the
-//! wire: bit 0 of the flags only records that OLS was applied, and the
-//! loader recomputes it bit-for-bit from the released counts.
+//! Like JSON, post-processed counts are **not** on the wire: bit 0 of
+//! the flags only records that OLS was applied, and the loader
+//! recomputes it bit-for-bit from the released counts.
 //!
 //! # Bit-exactness across formats
 //!
 //! The binary format is the **canonical bit-exact carrier** of a
 //! release: every `f64` travels as its 8 raw bytes, with no text
-//! round-trip involved. JSON and text stay bit-exact too, but only
-//! because the vendored `serde_json` prints floats in shortest-
-//! round-trip form (whole floats as `1.0` — see `vendor/README.md`);
-//! archival and cross-implementation exchange should prefer
-//! `dpsd-bin/v1`, which has no such formatting dependency.
+//! round-trip involved. JSON stays bit-exact too, but only because the
+//! vendored `serde_json` prints floats in shortest-round-trip form
+//! (whole floats as `1.0` — see `vendor/README.md`); archival and
+//! cross-implementation exchange should prefer `dpsd-bin/v1`, which has
+//! no such formatting dependency.
 //!
 //! ```
 //! use dpsd_core::flat::FlatSynopsis;
@@ -81,15 +86,17 @@
 //! assert_eq!(flat.query(&q).to_bits(), tree.query(&q).to_bits());
 //! ```
 
+use crate::budget::audit_path_epsilon;
 use crate::error::DpsdError;
 use crate::geometry::Rect;
 use crate::query::QueryProfile;
 use crate::synopsis::SpatialSynopsis;
-use crate::tree::released::MAX_NODES;
+use crate::tree::released::columns_from_json;
 use crate::tree::{
     complete_tree_nodes_checked, first_index_at_depth, CountSource, PsdTree, ReleasedSynopsis,
-    TreeKind,
+    TreeKind, MAX_NODES,
 };
+use serde::{Deserialize, Error as SerdeError, Value};
 
 /// Magic bytes opening every `dpsd-bin` artifact.
 pub const MAGIC: [u8; 8] = *b"DPSDBIN1";
@@ -328,48 +335,147 @@ fn usize_field(value: u64, what: &str) -> Result<usize, DpsdError> {
         .map_err(|_| DpsdError::format(format!("dpsd-bin: {what} {value} does not fit in memory")))
 }
 
-/// A fully validated `dpsd-bin/v1` artifact, still in wire column
-/// order. The wire layout **is** the arena layout (axis-major min/max
-/// columns, a count column, bitmaps), so for non-post-processed
-/// synopses these vectors move straight into a [`FlatSynopsis`] with no
-/// transpose and no intermediate tree; [`Decoded::into_tree`] rebuilds
-/// the pointer-path tree when one is needed (OLS recomputation, or
-/// loading back into a [`ReleasedSynopsis`]).
-struct Decoded<const D: usize> {
-    kind: TreeKind,
-    postprocessed: bool,
-    fanout: usize,
-    height: usize,
-    n: usize,
-    epsilon: f64,
-    domain: Rect<D>,
-    eps_count: Vec<f64>,
-    eps_median: Vec<f64>,
+/// One published artifact in column form: what both codecs (JSON and
+/// `dpsd-bin/v1`) decode into, what [`Columns::validate`] checks, and
+/// what the arena is built from. The layout **is** the arena layout
+/// (axis-major min/max columns, a count column, flag columns), so the
+/// vectors move straight into a [`FlatSynopsis`] with no transpose and
+/// no intermediate tree; [`Columns::into_tree`] rebuilds the pointer
+/// tree only where a [`ReleasedSynopsis`] needs one.
+pub(crate) struct Columns<const D: usize> {
+    pub(crate) kind: TreeKind,
+    pub(crate) postprocessed: bool,
+    pub(crate) fanout: usize,
+    pub(crate) height: usize,
+    pub(crate) epsilon: f64,
+    /// Unchecked corners; [`Columns::validate`] checks their order.
+    pub(crate) domain: Rect<D>,
+    pub(crate) eps_count: Vec<f64>,
+    pub(crate) eps_median: Vec<f64>,
     /// Axis-major minima, `mins[k * n + v]` — wire order == arena order.
-    mins: Vec<f64>,
-    maxs: Vec<f64>,
-    noisy: Vec<f64>,
-    released: Vec<bool>,
-    cut: Vec<bool>,
+    pub(crate) mins: Vec<f64>,
+    pub(crate) maxs: Vec<f64>,
+    /// Released noisy counts; entries under a cleared `released` flag
+    /// carry no information and are ignored.
+    pub(crate) noisy: Vec<f64>,
+    pub(crate) released: Vec<bool>,
+    pub(crate) cut: Vec<bool>,
 }
 
-impl<const D: usize> Decoded<D> {
+/// The shape checks of [`Columns::validate`]: fanout `2^D`, a height
+/// whose complete tree fits under the node cap, and a node count equal
+/// to that tree's. The binary decoder also runs this on the header
+/// alone, before any column is sized from it.
+pub(crate) fn check_shape<const D: usize>(
+    fanout: usize,
+    height: usize,
+    nodes: usize,
+) -> Result<(), DpsdError> {
+    if fanout != 1usize << D {
+        return Err(DpsdError::format(format!(
+            "fanout {fanout} must be 2^dims ({})",
+            1usize << D
+        )));
+    }
+    let Some(m) = complete_tree_nodes_checked(fanout, height).filter(|&m| m <= MAX_NODES) else {
+        return Err(DpsdError::format(format!(
+            "fanout {fanout} height {height} exceeds the node cap"
+        )));
+    };
+    if nodes != m {
+        return Err(DpsdError::format(format!(
+            "node count {nodes} does not match the complete tree ({m} nodes)"
+        )));
+    }
+    Ok(())
+}
+
+impl<const D: usize> Columns<D> {
+    fn node_count(&self) -> usize {
+        self.noisy.len()
+    }
+
+    /// Node `v`'s corners, read from the axis-major columns.
+    fn node_rect(&self, v: usize) -> Rect<D> {
+        let n = self.node_count();
+        let mut min = [0.0; D];
+        let mut max = [0.0; D];
+        for k in 0..D {
+            min[k] = self.mins[k * n + v];
+            max[k] = self.maxs[k * n + v];
+        }
+        Rect { min, max }
+    }
+
+    /// Every check the two codecs share; each codec keeps only its own
+    /// framing. Failures are typed [`DpsdError::Format`] rejections.
+    ///
+    /// Beyond well-formedness, the declared `epsilon` must cover what
+    /// the level budgets spend along a root-to-leaf path: registries
+    /// debit the declared value, so an artifact that under-declares it
+    /// would spend budget its tenant was never charged for.
+    pub(crate) fn validate(self) -> Result<Self, DpsdError> {
+        let n = self.node_count();
+        check_shape::<D>(self.fanout, self.height, n)?;
+        if !self.epsilon.is_finite() || self.epsilon < 0.0 {
+            return Err(DpsdError::format("epsilon must be finite and non-negative"));
+        }
+        for (name, levels) in [
+            ("eps_count", &self.eps_count),
+            ("eps_median", &self.eps_median),
+        ] {
+            if levels.len() != self.height + 1 {
+                return Err(DpsdError::format(format!(
+                    "{name} must have height+1 = {} entries, got {}",
+                    self.height + 1,
+                    levels.len()
+                )));
+            }
+            if levels.iter().any(|e| !e.is_finite() || *e < 0.0) {
+                return Err(DpsdError::format(format!(
+                    "{name} entries must be finite and non-negative"
+                )));
+            }
+        }
+        debug_assert!(self.mins.len() == D * n && self.maxs.len() == D * n);
+        debug_assert!(self.released.len() == n && self.cut.len() == n);
+        Rect::from_corners(self.domain.min, self.domain.max)
+            .map_err(|e| DpsdError::format(format!("domain: {e}")))?;
+        for v in 0..n {
+            let r = self.node_rect(v);
+            Rect::from_corners(r.min, r.max)
+                .map_err(|e| DpsdError::format(format!("node {v}: {e}")))?;
+        }
+        if self.noisy.iter().any(|c| !c.is_finite()) {
+            return Err(DpsdError::format("node counts must be finite"));
+        }
+        // OLS recomputation requires a released leaf level; a crafted
+        // artifact claiming post-processing without one must be a typed
+        // error, not a downstream panic.
+        if self.postprocessed && self.eps_count[0] <= 0.0 {
+            return Err(DpsdError::format(
+                "postprocessed synopsis must carry leaf-level count budget",
+            ));
+        }
+        let audit = audit_path_epsilon(&self.eps_count, &self.eps_median)
+            .map_err(|e| DpsdError::format(e.to_string()))?;
+        if !audit.within(self.epsilon) {
+            return Err(DpsdError::format(format!(
+                "declared epsilon {} is below the {} its level budgets spend per path",
+                self.epsilon,
+                audit.total()
+            )));
+        }
+        Ok(self)
+    }
+
     /// Rebuilds the pointer-path tree: per-node rects from the columns,
     /// OLS recomputed when the flag says the source was post-processed
     /// (posted counts are never on the wire), pruning cuts re-marked.
-    fn into_tree(self) -> PsdTree<D> {
-        let m = self.n;
-        let mut rects = Vec::with_capacity(m);
-        for v in 0..m {
-            let mut min = [0.0; D];
-            let mut max = [0.0; D];
-            for k in 0..D {
-                min[k] = self.mins[k * m + v];
-                max[k] = self.maxs[k * m + v];
-            }
-            // Already validated corner-by-corner in `decode`.
-            rects.push(Rect { min, max });
-        }
+    pub(crate) fn into_tree(self) -> PsdTree<D> {
+        let m = self.node_count();
+        // Already validated corner-by-corner in `validate`.
+        let rects = (0..m).map(|v| self.node_rect(v)).collect();
         let mut tree = PsdTree::from_columns(
             self.kind,
             self.fanout,
@@ -396,19 +502,11 @@ impl<const D: usize> Decoded<D> {
     }
 }
 
-/// Parses and fully validates a `dpsd-bin/v1` artifact into a
-/// query-ready tree: same checks as the JSON loader (shape, finiteness,
-/// node cap, budget guard), plus checksum and exact-length framing. OLS
-/// is recomputed, not trusted.
-pub(crate) fn decode_tree<const D: usize>(bytes: &[u8]) -> Result<PsdTree<D>, DpsdError> {
-    Ok(decode::<D>(bytes)?.into_tree())
-}
-
-/// Validates every byte of a `dpsd-bin/v1` artifact and returns its
-/// columns in wire order (checks shared with the JSON loader: shape,
-/// finiteness, node cap, budget guard — plus checksum and exact-length
-/// framing).
-fn decode<const D: usize>(bytes: &[u8]) -> Result<Decoded<D>, DpsdError> {
+/// Reads a `dpsd-bin/v1` artifact into validated columns. This function
+/// checks only the binary framing — magic, checksum, version, header
+/// codes, level table, bitmaps, exact length — and leaves everything
+/// the JSON codec shares to [`Columns::validate`].
+pub(crate) fn decode<const D: usize>(bytes: &[u8]) -> Result<Columns<D>, DpsdError> {
     let mut cur = Cursor { bytes, pos: 0 };
     if cur.take(8)? != MAGIC {
         return Err(DpsdError::format(
@@ -442,46 +540,23 @@ fn decode<const D: usize>(bytes: &[u8]) -> Result<Decoded<D>, DpsdError> {
             "dpsd-bin: unknown flag bits {flags:#x}"
         )));
     }
-    let postprocessed = flags & FLAG_POSTPROCESSED != 0;
     let fanout = usize_field(cur.u64()?, "fanout")?;
-    if fanout != 1usize << D {
-        return Err(DpsdError::format(format!(
-            "dpsd-bin: fanout {fanout} must be 2^dims"
-        )));
-    }
     let height = usize_field(cur.u64()?, "height")?;
-    let Some(m) = complete_tree_nodes_checked(fanout, height).filter(|&m| m <= MAX_NODES) else {
-        return Err(DpsdError::format(format!(
-            "dpsd-bin: fanout {fanout} height {height} exceeds the node cap"
-        )));
-    };
-    let node_count = usize_field(cur.u64()?, "node count")?;
-    if node_count != m {
-        return Err(DpsdError::format(format!(
-            "dpsd-bin: node count {node_count} does not match the complete tree ({m} nodes)"
-        )));
-    }
+    let m = usize_field(cur.u64()?, "node count")?;
+    check_shape::<D>(fanout, height, m)?;
     let epsilon = cur.f64()?;
-    if !epsilon.is_finite() || epsilon < 0.0 {
-        return Err(DpsdError::format("dpsd-bin: epsilon must be non-negative"));
+    let mut domain = Rect {
+        min: [0.0; D],
+        max: [0.0; D],
+    };
+    for k in 0..D {
+        domain.min[k] = cur.f64()?;
     }
-    let domain_min = cur.f64s(D, "domain")?;
-    let domain_max = cur.f64s(D, "domain")?;
-    let mut dmin = [0.0; D];
-    let mut dmax = [0.0; D];
-    dmin.copy_from_slice(&domain_min);
-    dmax.copy_from_slice(&domain_max);
-    let domain = Rect::from_corners(dmin, dmax)
-        .map_err(|e| DpsdError::format(format!("dpsd-bin: domain: {e}")))?;
+    for k in 0..D {
+        domain.max[k] = cur.f64()?;
+    }
     let eps_count = cur.f64s(height + 1, "eps_count")?;
     let eps_median = cur.f64s(height + 1, "eps_median")?;
-    for (name, levels) in [("eps_count", &eps_count), ("eps_median", &eps_median)] {
-        if levels.iter().any(|e| !e.is_finite() || *e < 0.0) {
-            return Err(DpsdError::format(format!(
-                "dpsd-bin: {name} entries must be non-negative"
-            )));
-        }
-    }
     for depth in 0..=height {
         let offset = cur.u64()?;
         let expected = first_index_at_depth(fanout, depth) as u64;
@@ -498,20 +573,7 @@ fn decode<const D: usize>(bytes: &[u8]) -> Result<Decoded<D>, DpsdError> {
     }
     let mins = cur.f64s(D * m, "node minima")?;
     let maxs = cur.f64s(D * m, "node maxima")?;
-    for v in 0..m {
-        let mut min = [0.0; D];
-        let mut max = [0.0; D];
-        for k in 0..D {
-            min[k] = mins[k * m + v];
-            max[k] = maxs[k * m + v];
-        }
-        Rect::from_corners(min, max)
-            .map_err(|e| DpsdError::format(format!("dpsd-bin: node {v}: {e}")))?;
-    }
     let noisy = cur.f64s(m, "noisy count")?;
-    if noisy.iter().any(|c| !c.is_finite()) {
-        return Err(DpsdError::format("dpsd-bin: node counts must be finite"));
-    }
     let released = cur.bitmap(m, "released")?;
     let cut = cur.bitmap(m, "cut")?;
     if cur.pos != bytes.len() {
@@ -520,19 +582,11 @@ fn decode<const D: usize>(bytes: &[u8]) -> Result<Decoded<D>, DpsdError> {
             bytes.len() - cur.pos
         )));
     }
-    // Same guard as the JSON/text loaders: OLS recomputation requires a
-    // released leaf level, and a crafted artifact must be a typed error.
-    if postprocessed && eps_count[0] <= 0.0 {
-        return Err(DpsdError::format(
-            "dpsd-bin: postprocessed synopsis must carry leaf-level count budget",
-        ));
-    }
-    Ok(Decoded {
+    Columns {
         kind,
-        postprocessed,
+        postprocessed: flags & FLAG_POSTPROCESSED != 0,
         fanout,
         height,
-        n: m,
         epsilon,
         domain,
         eps_count,
@@ -542,7 +596,8 @@ fn decode<const D: usize>(bytes: &[u8]) -> Result<Decoded<D>, DpsdError> {
         noisy,
         released,
         cut,
-    })
+    }
+    .validate()
 }
 
 /// Batches are carried as `u32` query indices (half the frontier memory
@@ -660,50 +715,60 @@ impl<const D: usize> FlatSynopsis<D> {
     ///
     /// The wire columns are already in arena order, so after validation
     /// they **move** into place: no transpose, no intermediate tree, and
-    /// zero per-node allocation. The one exception is a post-processed
-    /// artifact, whose posted counts are never on the wire — OLS is
-    /// defined over the tree structure, so that path rebuilds the
-    /// pointer tree once, recomputes, and flattens.
+    /// zero per-node allocation. A post-processed artifact's posted
+    /// counts are never on the wire; OLS recomputes them over the
+    /// level-ordered count column.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DpsdError> {
-        let d = decode::<D>(bytes)?;
-        if d.postprocessed {
-            return Ok(Self::from_tree(&d.into_tree()));
+        Ok(Self::from_columns(decode::<D>(bytes)?))
+    }
+
+    /// Builds the arena from validated columns, resolving counts as a
+    /// tree's `Auto` source does: OLS-posted on every node when the
+    /// artifact was post-processed, else noisy where released.
+    /// Effective leaves are the bottom level plus the pruning cuts.
+    fn from_columns(c: Columns<D>) -> Self {
+        let n = c.node_count();
+        let mut counts = c.noisy;
+        // Withheld entries read as 0 on the tree path (`noisy_count`
+        // is `None`); OLS must see exactly that, whatever the wire held.
+        for (count, &released) in counts.iter_mut().zip(&c.released) {
+            if !released {
+                *count = 0.0;
+            }
         }
-        // Non-post-processed: `Auto` count resolution is exactly "noisy
-        // where released", which is what the wire carries; effective
-        // leaves are the bottom level plus the pruning cuts.
-        let n = d.n;
-        let leaf_first = if d.height == 0 {
-            0
+        let has_count = if c.postprocessed {
+            counts =
+                crate::postprocess::ols_over_columns(c.fanout, c.height, &c.eps_count, &counts);
+            vec![true; n]
         } else {
-            first_index_at_depth(d.fanout, d.height)
+            c.released
         };
-        let mut leafish = d.cut;
-        for flag in leafish[leaf_first..].iter_mut() {
+        let mut leafish = c.cut;
+        for flag in leafish[first_index_at_depth(c.fanout, c.height)..].iter_mut() {
             *flag = true;
         }
-        let mut level_first = Vec::with_capacity(d.height + 2);
-        for depth in 0..=d.height {
-            level_first.push(first_index_at_depth(d.fanout, depth));
+        let mut level_first = Vec::with_capacity(c.height + 2);
+        for depth in 0..=c.height {
+            level_first.push(first_index_at_depth(c.fanout, depth));
         }
         level_first.push(n);
-        Ok(FlatSynopsis {
-            kind: d.kind,
-            fanout: d.fanout,
-            height: d.height,
-            domain: d.domain,
-            epsilon: d.epsilon,
-            eps_count: d.eps_count,
-            eps_median: d.eps_median,
-            postprocessed: false,
+        FlatSynopsis {
+            kind: c.kind,
+            fanout: c.fanout,
+            height: c.height,
+            domain: c.domain,
+            epsilon: c.epsilon,
+            eps_count: c.eps_count,
+            eps_median: c.eps_median,
+            postprocessed: c.postprocessed,
             n,
-            mins: d.mins,
-            maxs: d.maxs,
-            counts: d.noisy,
-            has_count: d.released,
+            mins: c.mins,
+            maxs: c.maxs,
+            counts,
+            has_count,
             leafish,
             level_first,
-        })
+        }
     }
 
     /// The family the source tree belongs to.
@@ -918,6 +983,15 @@ impl<const D: usize> FlatSynopsis<D> {
     }
 }
 
+impl<const D: usize> Deserialize for FlatSynopsis<D> {
+    /// Reads a published JSON synopsis straight into the arena: the JSON
+    /// codec's column reader and the shared validator, then the same
+    /// arena constructor as `from_bytes` — no tree in between.
+    fn deserialize(value: &Value) -> Result<Self, SerdeError> {
+        Ok(Self::from_columns(columns_from_json(value)?))
+    }
+}
+
 impl<const D: usize> SpatialSynopsis<D> for FlatSynopsis<D> {
     fn query(&self, query: &Rect<D>) -> f64 {
         let mut acc = 0.0;
@@ -1077,9 +1151,9 @@ mod tests {
 
     #[test]
     fn direct_arena_load_matches_flatten_for_unpostprocessed_trees() {
-        // A non-post-processed artifact takes the move-columns fast path
-        // in `from_bytes`; it must agree with flattening the source tree
-        // on answers, leaf resolution (pruning cuts!), and layout.
+        // The arena built from the wire columns must agree with
+        // flattening the source tree on answers, leaf resolution
+        // (pruning cuts!), and layout.
         let (domain, pts) = sample_points();
         let tree = PsdConfig::kd_standard(domain, 4, 0.4)
             .with_postprocess(false)
@@ -1099,6 +1173,43 @@ mod tests {
         );
         assert_eq!(direct.resident_bytes(), flattened.resident_bytes());
         assert!(!direct.is_postprocessed());
+    }
+
+    #[test]
+    fn withheld_wire_counts_are_ignored_by_the_ols_recompute() {
+        // A crafted post-processed blob withholds the root (its level
+        // still carries budget) and leaves a non-zero count under the
+        // cleared released bit. The tree path reads a withheld count as
+        // 0, so the arena must answer exactly as if the wire held 0.
+        let (domain, pts) = sample_points();
+        let tree = PsdConfig::quadtree(domain, 2, 0.5)
+            .with_seed(3)
+            .build(&pts)
+            .unwrap();
+        assert!(tree.is_postprocessed() && tree.eps_count_levels()[2] > 0.0);
+        let craft = |root_count: f64| {
+            let mut blob = tree.release().to_flat_bytes();
+            let released_bitmap = blob.len() - 2 * 21usize.div_ceil(8);
+            let noisy_root = released_bitmap - 8 * 21;
+            blob[released_bitmap] &= !1;
+            blob[noisy_root..noisy_root + 8].copy_from_slice(&root_count.to_le_bytes());
+            let sum = fnv1a(&blob[16..]);
+            blob[8..16].copy_from_slice(&sum.to_le_bytes());
+            blob
+        };
+        let (zero, garbage) = (craft(0.0), craft(12345.0));
+
+        let queries = workload(&domain, 120);
+        let expect = FlatSynopsis::<2>::from_bytes(&zero)
+            .unwrap()
+            .query_batch(&queries);
+        let arena = FlatSynopsis::<2>::from_bytes(&garbage).unwrap();
+        assert_bits_eq(&arena.query_batch(&queries), &expect, "arena");
+        let singles: Vec<f64> = queries.iter().map(|q| arena.query(q)).collect();
+        assert_bits_eq(&singles, &expect, "arena singles");
+        let reloaded = ReleasedSynopsis::<2>::from_flat_bytes(&garbage).unwrap();
+        assert_eq!(reloaded.as_tree().noisy_count(0), None);
+        assert_bits_eq(&reloaded.query_batch(&queries), &expect, "tree");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! | [`budget`] | 4.2, 6.2 | per-level budget strategies and path-composition auditing |
 //! | [`tree`] | 3.3, 6, 7 | PSD construction, pruning, and the publishable [`ReleasedSynopsis`] |
 //! | [`stream`] | — | streaming ingest and continual epoch release ([`StreamIngestor`], [`budget::EpsilonLedger`]) |
-//! | [`flat`] | — | the `dpsd-bin/v1` binary codec and the arena-backed [`FlatSynopsis`] query kernel |
+//! | [`flat`] | — | the `dpsd-bin/v1` binary codec, the artifact validator both codecs share, and the arena-backed [`FlatSynopsis`] query kernel |
 //! | [`postprocess`] | 5 | three-phase OLS estimator and a dense reference solver |
 //! | [`query`] | 4.1 | canonical range queries, single and batched |
 //! | [`analysis`] | 4.2 | closed-form worst-case error bounds (Figure 2, Lemmas 2-3) |
@@ -65,7 +65,7 @@
 //!
 //! Fallible operations across the workspace report the unified
 //! [`DpsdError`]; detailed kinds ([`tree::BuildError`],
-//! [`tree::ReleaseError`]) ride inside it.
+//! [`geometry::GeometryError`]) ride inside it.
 //!
 //! # Any dimension
 //!
@@ -90,7 +90,7 @@ pub mod linalg;
 pub mod mech;
 pub mod median;
 pub mod metrics;
-pub mod ndim;
+mod ndim;
 pub mod postprocess;
 pub mod query;
 pub mod rng;

@@ -12,8 +12,8 @@
 //!   R-tree);
 //! * [`crate::tree::ReleasedSynopsis`] — a published, raw-data-free
 //!   synopsis loaded from JSON;
-//! * [`crate::ndim::NdTree`] — the deprecation shim around the
-//!   d-dimensional midpoint tree, in every `D`;
+//! * [`crate::flat::FlatSynopsis`] — the structure-of-arrays arena the
+//!   server hosts every published artifact in;
 //! * `FlatGrid` and `ExactIndex` in `dpsd-baselines`.
 //!
 //! [`SpatialSynopsis::query_batch`] is a first-class operation, not a
@@ -168,32 +168,6 @@ impl<const D: usize> SpatialSynopsis<D> for crate::tree::ReleasedSynopsis<D> {
 
     fn node_count(&self) -> usize {
         self.as_tree().node_count()
-    }
-}
-
-impl<const D: usize> SpatialSynopsis<D> for crate::ndim::NdTree<D> {
-    fn query(&self, query: &Rect<D>) -> f64 {
-        self.range_query(query)
-    }
-
-    fn query_batch(&self, queries: &[Rect<D>]) -> Vec<f64> {
-        crate::query::range_query_batch(self.as_tree(), queries)
-    }
-
-    fn query_profiled(&self, query: &Rect<D>) -> (f64, QueryProfile) {
-        self.range_query_profiled(query)
-    }
-
-    fn domain(&self) -> Rect<D> {
-        *crate::ndim::NdTree::domain(self)
-    }
-
-    fn epsilon(&self) -> f64 {
-        crate::ndim::NdTree::epsilon(self)
-    }
-
-    fn node_count(&self) -> usize {
-        crate::ndim::NdTree::node_count(self)
     }
 }
 

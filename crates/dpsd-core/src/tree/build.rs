@@ -48,7 +48,8 @@ use std::fmt;
 
 /// Maximum number of nodes a single tree may allocate (a height-12
 /// fanout-4 tree is ~22M nodes; this guards against runaway configs).
-const MAX_NODES: usize = 120_000_000;
+/// Artifact loaders enforce the same cap.
+pub(crate) const MAX_NODES: usize = 120_000_000;
 
 /// Maximum total cell count of a `KdCell` split grid. Per-axis
 /// resolutions multiply across dimensions, so a planar default like

@@ -31,13 +31,11 @@ mod build;
 mod hilbert_rtree;
 mod kdcell;
 pub mod prune;
-pub mod release;
 pub mod released;
 
-pub(crate) use build::apply_count_noise;
+pub(crate) use build::{apply_count_noise, MAX_NODES};
 pub use build::{BuildError, PsdConfig, TreeKind};
 pub use dpsd_hilbert::CurveKind;
-pub use release::{read_release, write_release, ReleaseError};
 pub use released::ReleasedSynopsis;
 
 use crate::geometry::Rect;

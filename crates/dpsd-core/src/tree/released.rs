@@ -41,20 +41,15 @@
 //! ```
 
 use crate::error::DpsdError;
+use crate::flat::Columns;
 use crate::geometry::Rect;
-use crate::tree::release::{kind_from_tag, kind_tag};
-use crate::tree::{complete_tree_nodes_checked, PsdTree};
+use crate::tree::{PsdTree, TreeKind};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
 /// Format tag written into every serialized synopsis.
 pub const FORMAT: &str = "dpsd-synopsis";
 /// Current wire version.
 pub const VERSION: u64 = 1;
-
-/// Cap on the node count a loader will materialize (matches the
-/// builders' own cap; the binary loader in [`crate::flat`] enforces the
-/// same limit).
-pub(crate) const MAX_NODES: usize = 120_000_000;
 
 /// A published, raw-data-free spatial synopsis.
 ///
@@ -156,17 +151,6 @@ impl<const D: usize> ReleasedSynopsis<D> {
         Self::from_json(text)
     }
 
-    /// Loads the line-oriented **text** release format (the
-    /// [`write_release`](crate::tree::write_release) output) into a
-    /// query-ready synopsis, delegating to
-    /// [`read_release`](crate::tree::read_release). Both published
-    /// formats — JSON and text — thus load through `ReleasedSynopsis`
-    /// constructors; no free-function detour is needed.
-    pub fn from_release_text(text: &str) -> Result<Self, DpsdError> {
-        let tree = crate::tree::release::read_release::<D, _>(text.as_bytes())?;
-        Ok(ReleasedSynopsis::from_tree(&tree))
-    }
-
     /// Serializes to the `dpsd-bin/v1` flat binary format — the
     /// compact, checksummed, bit-exact carrier for serving at scale
     /// (layout and trade-offs in the [`crate::flat`] module docs).
@@ -176,26 +160,42 @@ impl<const D: usize> ReleasedSynopsis<D> {
 
     /// Parses and fully validates a `dpsd-bin/v1` artifact (the
     /// [`to_flat_bytes`](ReleasedSynopsis::to_flat_bytes) output) into a
-    /// query-ready synopsis. Validation mirrors the JSON loader —
-    /// checksum, shape, finiteness, node cap — and post-processing is
-    /// recomputed from the released counts, so answers match the source
-    /// tree bit-for-bit.
+    /// query-ready synopsis. Validation is the JSON loader's, plus the
+    /// binary framing (checksum, level table, exact length), and
+    /// post-processing is recomputed from the released counts, so
+    /// answers match the source tree bit-for-bit.
     pub fn from_flat_bytes(bytes: &[u8]) -> Result<Self, DpsdError> {
         Ok(ReleasedSynopsis {
-            tree: crate::flat::decode_tree::<D>(bytes)?,
+            tree: crate::flat::decode::<D>(bytes)?.into_tree(),
         })
     }
+}
 
-    /// Serializes to the line-oriented text release format, delegating
-    /// to [`write_release`](crate::tree::write_release).
-    pub fn to_release_text(&self) -> String {
-        let mut buf = Vec::new();
-        crate::tree::release::write_release(&self.tree, &mut buf)
-            // dpsd-allow(no-panic-in-lib): Write on Vec<u8> is infallible; the io::Result is an artifact of the generic writer signature
-            .expect("writing to a Vec cannot fail");
-        // dpsd-allow(no-panic-in-lib): write_release emits only ASCII
-        String::from_utf8(buf).expect("release text is UTF-8")
+fn kind_tag(kind: TreeKind) -> &'static str {
+    match kind {
+        TreeKind::Quadtree => "quadtree",
+        TreeKind::KdStandard => "kd-standard",
+        TreeKind::KdHybrid => "kd-hybrid",
+        TreeKind::KdCell => "kd-cell",
+        TreeKind::KdNoisyMean => "kd-noisymean",
+        TreeKind::KdPure => "kd-pure",
+        TreeKind::KdTrue => "kd-true",
+        TreeKind::HilbertR => "hilbert-r",
     }
+}
+
+fn kind_from_tag(tag: &str) -> Option<TreeKind> {
+    Some(match tag {
+        "quadtree" => TreeKind::Quadtree,
+        "kd-standard" => TreeKind::KdStandard,
+        "kd-hybrid" => TreeKind::KdHybrid,
+        "kd-cell" => TreeKind::KdCell,
+        "kd-noisymean" => TreeKind::KdNoisyMean,
+        "kd-pure" => TreeKind::KdPure,
+        "kd-true" => TreeKind::KdTrue,
+        "hilbert-r" => TreeKind::HilbertR,
+        _ => return None,
+    })
 }
 
 /// Flattens a box into the wire layout: all minima, then all maxima.
@@ -251,148 +251,107 @@ fn field<'v>(value: &'v Value, name: &str) -> Result<&'v Value, SerdeError> {
         .ok_or_else(|| SerdeError::msg(format!("missing field `{name}`")))
 }
 
-fn rect_from<const D: usize>(value: &Value, what: &str) -> Result<Rect<D>, SerdeError> {
-    let coords = Vec::<f64>::deserialize(value)
-        .map_err(|_| SerdeError::msg(format!("{what} must be an array of numbers")))?;
-    if coords.len() != 2 * D {
-        return Err(SerdeError::msg(format!(
-            "{what} must have {} numbers (minima then maxima), got {}",
-            2 * D,
-            coords.len()
-        )));
+/// Reads a wire box (all minima, then all maxima) without checking the
+/// corner order, which [`Columns::validate`] does for every box.
+fn corners<const D: usize>(value: &Value, what: &str) -> Result<Rect<D>, SerdeError> {
+    let coords = value
+        .as_array()
+        .filter(|c| c.len() == 2 * D)
+        .ok_or_else(|| SerdeError::msg(format!("{what} must be an array of {} numbers", 2 * D)))?;
+    let mut r = Rect {
+        min: [0.0; D],
+        max: [0.0; D],
+    };
+    for k in 0..D {
+        r.min[k] = f64::deserialize(&coords[k])?;
+        r.max[k] = f64::deserialize(&coords[D + k])?;
     }
-    let mut min = [0.0; D];
-    let mut max = [0.0; D];
-    min.copy_from_slice(&coords[..D]);
-    max.copy_from_slice(&coords[D..]);
-    Rect::from_corners(min, max).map_err(|e| SerdeError::msg(format!("{what}: {e}")))
+    Ok(r)
 }
 
-fn levels_from(value: &Value, name: &str, height: usize) -> Result<Vec<f64>, SerdeError> {
-    let levels = Vec::<f64>::deserialize(value)
-        .map_err(|_| SerdeError::msg(format!("`{name}` must be an array of numbers")))?;
-    if levels.len() != height + 1 {
+fn levels(value: &Value, name: &str) -> Result<Vec<f64>, SerdeError> {
+    Vec::<f64>::deserialize(field(value, name)?)
+        .map_err(|_| SerdeError::msg(format!("`{name}` must be an array of numbers")))
+}
+
+/// The JSON codec's reader: checks the JSON framing (format tag,
+/// version, field presence and types, the optional `dims`) and hands
+/// everything else to the validator shared with `dpsd-bin`.
+pub(crate) fn columns_from_json<const D: usize>(value: &Value) -> Result<Columns<D>, SerdeError> {
+    let format = String::deserialize(field(value, "format")?)?;
+    if format != FORMAT {
         return Err(SerdeError::msg(format!(
-            "`{name}` must have height+1 = {} entries, got {}",
-            height + 1,
-            levels.len()
+            "not a {FORMAT} artifact: `{format}`"
         )));
     }
-    if levels.iter().any(|e| !e.is_finite() || *e < 0.0) {
+    let version = u64::deserialize(field(value, "version")?)?;
+    if version != VERSION {
+        return Err(SerdeError::msg(format!("unsupported version {version}")));
+    }
+    let kind_s = String::deserialize(field(value, "kind")?)?;
+    let kind = kind_from_tag(&kind_s)
+        .ok_or_else(|| SerdeError::msg(format!("unknown tree kind `{kind_s}`")))?;
+    // `dims` is optional for backward compatibility: artifacts
+    // serialized before the dimension-generic format are planar.
+    let dims = match value.get("dims") {
+        Some(d) => usize::deserialize(d)?,
+        None => 2,
+    };
+    if dims != D {
         return Err(SerdeError::msg(format!(
-            "`{name}` entries must be non-negative"
+            "artifact is {dims}-dimensional, expected {D}"
         )));
     }
-    Ok(levels)
+    let nodes = field(value, "nodes")?
+        .as_array()
+        .ok_or_else(|| SerdeError::msg("`nodes` must be an array"))?;
+    let n = nodes.len();
+    let mut mins = vec![0.0; D * n];
+    let mut maxs = vec![0.0; D * n];
+    let mut noisy = vec![0.0; n];
+    let mut released = vec![false; n];
+    let mut cut = vec![false; n];
+    for (v, node) in nodes.iter().enumerate() {
+        let r = corners::<D>(field(node, "rect")?, "node rect")?;
+        for k in 0..D {
+            mins[k * n + v] = r.min[k];
+            maxs[k * n + v] = r.max[k];
+        }
+        if let Some(c) = Option::<f64>::deserialize(field(node, "count")?)? {
+            noisy[v] = c;
+            released[v] = true;
+        }
+        if let Some(flag) = node.get("cut") {
+            cut[v] = bool::deserialize(flag)?;
+        }
+    }
+    Columns {
+        kind,
+        postprocessed: bool::deserialize(field(value, "postprocessed")?)?,
+        fanout: usize::deserialize(field(value, "fanout")?)?,
+        height: usize::deserialize(field(value, "height")?)?,
+        epsilon: f64::deserialize(field(value, "epsilon")?)?,
+        domain: corners(field(value, "domain")?, "domain")?,
+        eps_count: levels(value, "eps_count")?,
+        eps_median: levels(value, "eps_median")?,
+        mins,
+        maxs,
+        noisy,
+        released,
+        cut,
+    }
+    .validate()
+    .map_err(|e| match e {
+        DpsdError::Format { reason } => SerdeError(reason),
+        other => SerdeError::msg(other.to_string()),
+    })
 }
 
 impl<const D: usize> Deserialize for ReleasedSynopsis<D> {
     fn deserialize(value: &Value) -> Result<Self, SerdeError> {
-        let format = String::deserialize(field(value, "format")?)?;
-        if format != FORMAT {
-            return Err(SerdeError::msg(format!(
-                "not a {FORMAT} artifact: `{format}`"
-            )));
-        }
-        let version = u64::deserialize(field(value, "version")?)?;
-        if version != VERSION {
-            return Err(SerdeError::msg(format!("unsupported version {version}")));
-        }
-        let kind_s = String::deserialize(field(value, "kind")?)?;
-        let kind = kind_from_tag(&kind_s)
-            .ok_or_else(|| SerdeError::msg(format!("unknown tree kind `{kind_s}`")))?;
-        let fanout = usize::deserialize(field(value, "fanout")?)?;
-        if fanout < 2 {
-            return Err(SerdeError::msg("fanout must be at least 2"));
-        }
-        // `dims` is optional for backward compatibility: artifacts
-        // serialized before the dimension-generic format are planar.
-        let dims = match value.get("dims") {
-            Some(d) => usize::deserialize(d)?,
-            None => 2,
-        };
-        if dims != D {
-            return Err(SerdeError::msg(format!(
-                "artifact is {dims}-dimensional, expected {D}"
-            )));
-        }
-        if fanout != 1usize << dims {
-            return Err(SerdeError::msg("fanout must be 2^dims"));
-        }
-        let height = usize::deserialize(field(value, "height")?)?;
-        let Some(m) = complete_tree_nodes_checked(fanout, height).filter(|&m| m <= MAX_NODES)
-        else {
-            return Err(SerdeError::msg(format!(
-                "fanout {fanout} height {height} exceeds the node cap"
-            )));
-        };
-        let domain = rect_from(field(value, "domain")?, "domain")?;
-        let epsilon = f64::deserialize(field(value, "epsilon")?)?;
-        if !epsilon.is_finite() || epsilon < 0.0 {
-            return Err(SerdeError::msg("epsilon must be non-negative"));
-        }
-        let eps_count = levels_from(field(value, "eps_count")?, "eps_count", height)?;
-        let eps_median = levels_from(field(value, "eps_median")?, "eps_median", height)?;
-        let postprocessed = bool::deserialize(field(value, "postprocessed")?)?;
-        let node_values = field(value, "nodes")?
-            .as_array()
-            .ok_or_else(|| SerdeError::msg("`nodes` must be an array"))?;
-        if node_values.len() != m {
-            return Err(SerdeError::msg(format!(
-                "`nodes` must list the complete tree ({m} nodes), got {}",
-                node_values.len()
-            )));
-        }
-        let mut rects = Vec::with_capacity(m);
-        let mut noisy = vec![0.0f64; m];
-        let mut released = vec![false; m];
-        let mut cuts = Vec::new();
-        for (v, node) in node_values.iter().enumerate() {
-            rects.push(rect_from(field(node, "rect")?, "node rect")?);
-            match Option::<f64>::deserialize(field(node, "count")?)? {
-                Some(c) if c.is_finite() => {
-                    noisy[v] = c;
-                    released[v] = true;
-                }
-                Some(_) => return Err(SerdeError::msg("node count must be finite")),
-                None => {}
-            }
-            if let Some(cut) = node.get("cut") {
-                if bool::deserialize(cut)? {
-                    cuts.push(v);
-                }
-            }
-        }
-        // OLS recomputation requires released leaf counts specifically
-        // (same guard as the text-format loader) — a crafted artifact
-        // with `postprocessed: true` but a zero leaf budget must be a
-        // typed error, not a downstream panic.
-        if postprocessed && eps_count[0] <= 0.0 {
-            return Err(SerdeError::msg(
-                "postprocessed synopsis must carry leaf-level count budget",
-            ));
-        }
-        let mut tree = PsdTree::from_columns(
-            kind,
-            fanout,
-            height,
-            domain,
-            rects,
-            vec![0.0; m], // exact counts were never published
-            noisy,
-            released,
-            eps_count,
-            eps_median,
-            epsilon,
-        );
-        if postprocessed {
-            let beta = crate::postprocess::ols_postprocess(&tree);
-            tree.set_posted(beta);
-        }
-        for v in cuts {
-            tree.mark_cut(v);
-        }
-        Ok(ReleasedSynopsis { tree })
+        Ok(ReleasedSynopsis {
+            tree: columns_from_json::<D>(value)?.into_tree(),
+        })
     }
 }
 
@@ -561,19 +520,9 @@ mod tests {
                 &good.replace("\"version\":1", "\"version\":99"),
             ),
             ("unknown kind", &good.replace("quadtree", "sorcery")),
-            (
-                "node count mismatch",
-                &good.replace("\"height\":2", "\"height\":3"),
-            ),
-            (
-                "absurd height",
-                &good.replace("\"height\":2", "\"height\":4000000"),
-            ),
-            (
-                "bad epsilon",
-                &good.replace("\"epsilon\":0.5", "\"epsilon\":-1"),
-            ),
         ];
+        // Shape, budget and count defects are the shared validator's;
+        // tests/flat_golden.rs runs them through both codecs.
         for (what, text) in cases {
             assert!(
                 matches!(
@@ -633,22 +582,16 @@ mod tests {
         let via_alias = ReleasedSynopsis::<2>::from_json_str(&synopsis.to_json_string()).unwrap();
         assert_eq!(via_alias.query_batch(&queries), tree.query_batch(&queries));
 
-        // The text release format round-trips through the same type.
-        let text = synopsis.to_release_text();
-        assert!(text.starts_with("dpsd-release v1\n"));
-        let via_text = ReleasedSynopsis::<2>::from_release_text(&text).unwrap();
-        assert_eq!(via_text.as_tree().kind(), tree.kind());
-        for (a, b) in via_text
+        // The binary format round-trips through the same type.
+        let via_bin = ReleasedSynopsis::<2>::from_flat_bytes(&synopsis.to_flat_bytes()).unwrap();
+        assert_eq!(via_bin.as_tree().kind(), tree.kind());
+        for (a, b) in via_bin
             .query_batch(&queries)
             .iter()
             .zip(tree.query_batch(&queries))
         {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert!(
-            ReleasedSynopsis::<2>::from_release_text("not a release").is_err(),
-            "malformed text must be rejected"
-        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! ```text
 //! loadgen [--addr HOST:PORT] [--queries N] [--batch B] [--clients C]
 //!         [--seed S] [--cache-capacity N] [--no-cache] [--dims 2|3]
-//!         [--format json|text|bin] [--json PATH]
+//!         [--format json|bin] [--json PATH]
 //!         [--stream] [--ingest-total N] [--epoch-points N]
 //!         [--ingest-batch N] [--epsilon E] [--window W] [--user-cap C]
 //!         [--tenant-cap EPS]
@@ -17,8 +17,7 @@
 //!
 //! Without `--addr` an in-process server is spawned on an ephemeral
 //! port (the CI smoke path). `--format` picks the publish wire format —
-//! the JSON synopsis, the text release, or the `dpsd-bin/v1` binary
-//! blob — and the direct verification synopsis is reloaded through the
+//! the JSON synopsis or the `dpsd-bin/v1` binary blob — and the direct verification synopsis is reloaded through the
 //! **same** codec, so the bit-identity gate covers every format end to
 //! end. Three workloads run in sequence — uniform, Zipf hotspot,
 //! adversarial cache-bust — and the run **fails** if any answer
@@ -63,7 +62,6 @@ use std::time::Instant;
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum ArtifactFormat {
     Json,
-    Text,
     Bin,
 }
 
@@ -71,7 +69,6 @@ impl ArtifactFormat {
     fn parse(s: &str) -> Option<ArtifactFormat> {
         match s {
             "json" => Some(ArtifactFormat::Json),
-            "text" => Some(ArtifactFormat::Text),
             "bin" => Some(ArtifactFormat::Bin),
             _ => None,
         }
@@ -80,7 +77,6 @@ impl ArtifactFormat {
     fn label(self) -> &'static str {
         match self {
             ArtifactFormat::Json => "json",
-            ArtifactFormat::Text => "text",
             ArtifactFormat::Bin => "bin",
         }
     }
@@ -137,7 +133,7 @@ impl Default for Options {
 fn usage() -> &'static str {
     "usage: loadgen [--addr HOST:PORT] [--queries N] [--batch B] [--clients C] \
      [--seed S] [--cache-capacity N] [--no-cache] [--dims 2|3] \
-     [--format json|text|bin] [--json PATH] \
+     [--format json|bin] [--json PATH] \
      [--stream] [--ingest-total N] [--epoch-points N] [--ingest-batch N] [--epsilon E] \
      [--window W] [--user-cap C] [--tenant-cap EPS]"
 }
@@ -171,7 +167,7 @@ fn parse_options() -> Result<Options, String> {
             "--format" => {
                 let v = value_for("--format")?;
                 opts.format = ArtifactFormat::parse(&v)
-                    .ok_or_else(|| format!("bad --format `{v}` (expected json, text, or bin)"))?
+                    .ok_or_else(|| format!("bad --format `{v}` (expected json or bin)"))?
             }
             "--json" => opts.json = Some(value_for("--json")?),
             "--stream" => opts.stream = true,
@@ -292,7 +288,6 @@ fn encode_artifact<const D: usize>(
 ) -> Vec<u8> {
     match format {
         ArtifactFormat::Json => release.to_json_string().into_bytes(),
-        ArtifactFormat::Text => release.to_release_text().into_bytes(),
         ArtifactFormat::Bin => release.to_flat_bytes(),
     }
 }
@@ -303,12 +298,10 @@ fn decode_artifact<const D: usize>(
     artifact: &[u8],
     format: ArtifactFormat,
 ) -> Result<ReleasedSynopsis<D>, String> {
-    let utf8 = |what: &str| {
-        std::str::from_utf8(artifact).map_err(|_| format!("{what} artifact is not UTF-8"))
-    };
     match format {
-        ArtifactFormat::Json => ReleasedSynopsis::from_json_str(utf8("json")?),
-        ArtifactFormat::Text => ReleasedSynopsis::from_release_text(utf8("text")?),
+        ArtifactFormat::Json => ReleasedSynopsis::from_json_str(
+            std::str::from_utf8(artifact).map_err(|_| "json artifact is not UTF-8")?,
+        ),
         ArtifactFormat::Bin => ReleasedSynopsis::from_flat_bytes(artifact),
     }
     .map_err(|e| format!("artifact must load: {e}"))

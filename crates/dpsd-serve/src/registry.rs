@@ -13,21 +13,20 @@
 //! Dimension is a runtime property on the wire but a compile-time
 //! property of the typed synopses, so [`AnySynopsis`] erases it over
 //! the supported range `D ∈ 1..=4` (the same range the evaluation
-//! sweeps cover). Artifacts in **all three** published formats load:
-//! the `dpsd-bin/v1` binary blob (sniffed by its magic bytes), the JSON
-//! synopsis, and the line-oriented text release. Whatever the wire
-//! format, every tenant is hosted as a
-//! [`FlatSynopsis`] arena — the
-//! structure-of-arrays query kernel — so the serving hot path never
-//! walks pointer-y tree nodes and answers stay bit-identical to the
-//! source tree in every format.
+//! sweeps cover). Artifacts in both published formats load: the
+//! `dpsd-bin/v1` binary blob (sniffed by its magic bytes) and the JSON
+//! synopsis. Both decode through one validator straight into a
+//! [`FlatSynopsis`] arena — the structure-of-arrays query kernel — so
+//! no pointer tree is built on the load path, the serving hot path
+//! never walks one, and answers stay bit-identical to the source tree
+//! in either format.
 
 use crate::error::ServeError;
 use crate::sync::{read_or_recover, write_or_recover};
 use dpsd_core::budget::EpsilonLedger;
 use dpsd_core::flat::FlatSynopsis;
 use dpsd_core::synopsis::SpatialSynopsis;
-use dpsd_core::tree::{ReleasedSynopsis, TreeKind};
+use dpsd_core::tree::TreeKind;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
@@ -63,26 +62,16 @@ macro_rules! with_synopsis {
 }
 pub(crate) use with_synopsis;
 
-/// Scans the first lines of a text release for its `dims` header
-/// (absent means the pre-generic planar format).
-fn text_release_dims(text: &str) -> usize {
-    text.lines()
-        .take(16)
-        .find_map(|l| l.strip_prefix("dims "))
-        .and_then(|rest| rest.trim().parse().ok())
-        .unwrap_or(2)
-}
-
-/// Deserializes a parsed JSON value as a `D`-dimensional synopsis,
-/// mapping validation failures to the client's fault.
+/// Deserializes a parsed JSON value straight into a `D`-dimensional
+/// arena, mapping validation failures to the client's fault.
 fn synopsis_from_value<const D: usize>(
     value: &serde::Value,
-) -> Result<ReleasedSynopsis<D>, ServeError> {
+) -> Result<FlatSynopsis<D>, ServeError> {
     serde::Deserialize::deserialize(value)
         .map_err(|e| ServeError::from(dpsd_core::DpsdError::from(e)))
 }
 
-/// The unsupported-dimension rejection, shared by all three formats.
+/// The unsupported-dimension rejection, shared by both formats.
 fn bad_dims(d: impl std::fmt::Display) -> ServeError {
     ServeError::BadRequest(format!(
         "artifact is {d}-dimensional; this server accepts 1..={MAX_DIMS}"
@@ -90,12 +79,10 @@ fn bad_dims(d: impl std::fmt::Display) -> ServeError {
 }
 
 impl AnySynopsis {
-    /// Loads a published artifact in any wire format, dispatching on
+    /// Loads a published artifact in either wire format, dispatching on
     /// the dimension it declares. `dpsd-bin` blobs are recognized by
-    /// their magic bytes and load straight into the arena; text
-    /// releases by their `dpsd-release` magic; everything else must be
-    /// a JSON synopsis. JSON/text artifacts are flattened after
-    /// validation, so serving always runs on [`FlatSynopsis`].
+    /// their magic bytes; everything else must be a JSON synopsis. Both
+    /// load straight into the [`FlatSynopsis`] arena.
     pub fn load(artifact: &[u8]) -> Result<Self, ServeError> {
         if dpsd_core::flat::is_flat_artifact(artifact) {
             return match dpsd_core::flat::peek_dims(artifact) {
@@ -112,41 +99,22 @@ impl AnySynopsis {
         let text = std::str::from_utf8(artifact).map_err(|_| {
             ServeError::BadRequest("artifact is neither dpsd-bin nor UTF-8 text".into())
         })?;
-        let trimmed = text.trim_start();
-        if trimmed.starts_with("dpsd-release") {
-            match text_release_dims(trimmed) {
-                1 => Ok(AnySynopsis::D1(flatten(
-                    ReleasedSynopsis::from_release_text(text)?,
-                ))),
-                2 => Ok(AnySynopsis::D2(flatten(
-                    ReleasedSynopsis::from_release_text(text)?,
-                ))),
-                3 => Ok(AnySynopsis::D3(flatten(
-                    ReleasedSynopsis::from_release_text(text)?,
-                ))),
-                4 => Ok(AnySynopsis::D4(flatten(
-                    ReleasedSynopsis::from_release_text(text)?,
-                ))),
-                d => Err(bad_dims(d)),
-            }
-        } else {
-            // Parse once; the `dims` field picks the typed loader and
-            // the same value tree feeds it (no second pass over what
-            // can be a multi-hundred-megabyte artifact). A missing
-            // `dims` means a pre-generic planar artifact.
-            let value: serde::Value = serde_json::from_str(text)
-                .map_err(|e| ServeError::BadRequest(format!("artifact is not valid JSON: {e}")))?;
-            let dims = value
-                .get("dims")
-                .and_then(serde::Value::as_u64)
-                .unwrap_or(2);
-            match dims {
-                1 => Ok(AnySynopsis::D1(flatten(synopsis_from_value(&value)?))),
-                2 => Ok(AnySynopsis::D2(flatten(synopsis_from_value(&value)?))),
-                3 => Ok(AnySynopsis::D3(flatten(synopsis_from_value(&value)?))),
-                4 => Ok(AnySynopsis::D4(flatten(synopsis_from_value(&value)?))),
-                d => Err(bad_dims(d)),
-            }
+        // Parse once; the `dims` field picks the typed loader and the
+        // same value tree feeds it (no second pass over what can be a
+        // multi-hundred-megabyte artifact). A missing `dims` means a
+        // pre-generic planar artifact.
+        let value: serde::Value = serde_json::from_str(text)
+            .map_err(|e| ServeError::BadRequest(format!("artifact is not valid JSON: {e}")))?;
+        let dims = value
+            .get("dims")
+            .and_then(serde::Value::as_u64)
+            .unwrap_or(2);
+        match dims {
+            1 => Ok(AnySynopsis::D1(synopsis_from_value(&value)?)),
+            2 => Ok(AnySynopsis::D2(synopsis_from_value(&value)?)),
+            3 => Ok(AnySynopsis::D3(synopsis_from_value(&value)?)),
+            4 => Ok(AnySynopsis::D4(synopsis_from_value(&value)?)),
+            d => Err(bad_dims(d)),
         }
     }
 
@@ -182,11 +150,6 @@ impl AnySynopsis {
             d.min.iter().chain(d.max.iter()).copied().collect()
         })
     }
-}
-
-/// Flattens a validated release into the serving arena.
-fn flatten<const D: usize>(synopsis: ReleasedSynopsis<D>) -> FlatSynopsis<D> {
-    FlatSynopsis::from_released(&synopsis)
 }
 
 /// One atomically published artifact: name, monotonically increasing
@@ -482,7 +445,7 @@ mod tests {
     use super::*;
     use dpsd_core::geometry::{Point, Rect};
     use dpsd_core::synopsis::SpatialSynopsis;
-    use dpsd_core::tree::PsdConfig;
+    use dpsd_core::tree::{PsdConfig, ReleasedSynopsis};
 
     fn sample_release<const D: usize>() -> ReleasedSynopsis<D> {
         let domain = Rect::<D>::from_corners([0.0; D], [16.0; D]).unwrap();
@@ -515,16 +478,10 @@ mod tests {
         assert!(s3.node_count() > 0 && s3.epsilon() > 0.0);
         assert_eq!(s3.domain_wire().len(), 6);
 
-        // Text format, via the typed constructors.
         let loaded = sample_release::<2>();
-        let text = loaded.to_release_text();
-        let via_text = AnySynopsis::load(text.as_bytes()).unwrap();
-        assert_eq!(via_text.dims(), 2);
         let q = Rect::new(1.0, 2.0, 9.0, 11.0).unwrap();
-        match (&via_text, &loaded) {
-            (AnySynopsis::D2(a), b) => {
-                assert_eq!(a.query(&q).to_bits(), b.query(&q).to_bits());
-            }
+        match &s2 {
+            AnySynopsis::D2(a) => assert_eq!(a.query(&q).to_bits(), loaded.query(&q).to_bits()),
             _ => panic!("expected a planar synopsis"),
         }
 
@@ -550,6 +507,7 @@ mod tests {
             AnySynopsis::load(b"{ not json"),
             Err(ServeError::BadRequest(_))
         ));
+        // The retired line-oriented text release is just invalid JSON.
         assert!(matches!(
             AnySynopsis::load(b"dpsd-release v1\nnonsense"),
             Err(ServeError::BadRequest(_))

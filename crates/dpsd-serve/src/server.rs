@@ -7,7 +7,7 @@
 //!
 //! | Method & path                        | Meaning                                   |
 //! |--------------------------------------|-------------------------------------------|
-//! | `POST /synopses/{name}`              | Publish (or hot-swap) an artifact — body is a `dpsd-bin/v1` blob, a JSON synopsis, or a text release |
+//! | `POST /synopses/{name}`              | Publish (or hot-swap) an artifact — body is a `dpsd-bin/v1` blob or a JSON synopsis |
 //! | `GET /synopses`                      | List published synopses                   |
 //! | `GET /synopses/{name}`               | One synopsis' metadata                    |
 //! | `POST /synopses/{name}/query`        | `{"rect": [min..., max...]}` → one estimate |

@@ -10,9 +10,9 @@
 //! evaluation.
 //!
 //! The public API is organized around one idea: **every backend is a
-//! [`SpatialSynopsis`]**. Trees of any family, the flat-grid and exact
-//! baselines, the d-dimensional extension, and published
-//! [`ReleasedSynopsis`] artifacts all answer the same range-count
+//! [`SpatialSynopsis`]**. Trees of any family in any dimension, the
+//! flat-grid and exact baselines, and published [`ReleasedSynopsis`]
+//! and [`FlatSynopsis`] artifacts all answer the same range-count
 //! questions — `query`, `query_batch` (one shared traversal for a whole
 //! workload), `query_profiled` — and report `domain`, `epsilon`, and
 //! `node_count` uniformly. Anything fallible returns the unified

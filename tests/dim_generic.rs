@@ -3,7 +3,7 @@
 //! `D ∈ {1, 2, 3, 4}`, and the published artifacts round-trip
 //! **bit-for-bit**.
 
-use dpsd::core::tree::{read_release, write_release, CountSource, PsdTree};
+use dpsd::core::tree::{CountSource, PsdTree};
 use dpsd::prelude::*;
 use proptest::prelude::*;
 
@@ -69,7 +69,7 @@ fn assert_trees_bit_identical<const D: usize>(a: &PsdTree<D>, b: &PsdTree<D>, wh
     }
 }
 
-/// Builds a kd-hybrid, publishes it as JSON and as the text release,
+/// Builds a kd-hybrid, publishes it as JSON and as `dpsd-bin/v1`,
 /// reloads both, and checks bit-for-bit equality of everything the
 /// release carries (posted counts are *recomputed* by the loaders and
 /// must still match exactly).
@@ -93,16 +93,10 @@ fn roundtrip_case<const D: usize>(seed: u64) {
         );
     }
 
-    let mut buf = Vec::new();
-    write_release(&tree, &mut buf).unwrap();
-    let loaded: PsdTree<D> = read_release(buf.as_slice()).unwrap();
+    let loaded = ReleasedSynopsis::<D>::from_flat_bytes(&tree.release().to_flat_bytes()).unwrap();
     // Exact counts never travel; everything released must be identical.
-    assert_eq!(loaded.true_count(0), 0.0);
-    for v in tree.node_ids() {
-        assert_eq!(loaded.rect(v), tree.rect(v), "text rect {v}");
-        assert_eq!(loaded.noisy_count(v), tree.noisy_count(v), "text noisy {v}");
-        assert_eq!(loaded.is_cut(v), tree.is_cut(v), "text cut {v}");
-    }
+    assert_eq!(loaded.as_tree().true_count(0), 0.0);
+    assert_trees_bit_identical(loaded.as_tree(), tree.release().as_tree(), "bin");
 }
 
 proptest! {
@@ -142,7 +136,7 @@ proptest! {
 
 /// The formerly planar families in every dimension: build, query
 /// (batch == singles bit-for-bit, and parallel == sequential at several
-/// thread counts), and release round-trip through both formats.
+/// thread counts), and release round-trip through JSON.
 fn data_independent_family_case<const D: usize>(seed: u64) {
     let pts = clustered::<D>(700);
     let configs = [
@@ -193,20 +187,6 @@ fn data_independent_family_case<const D: usize>(seed: u64) {
                 "D={D} {kind}: loaded synopsis diverged"
             );
         }
-
-        // Text-format round-trip.
-        let mut buf = Vec::new();
-        write_release(&tree, &mut buf).unwrap();
-        let loaded: PsdTree<D> = read_release(buf.as_slice()).unwrap();
-        assert_eq!(loaded.true_count(0), 0.0, "exact counts never travel");
-        for v in tree.node_ids() {
-            assert_eq!(loaded.rect(v), tree.rect(v), "D={D} {kind} text rect {v}");
-            assert_eq!(
-                loaded.noisy_count(v),
-                tree.noisy_count(v),
-                "D={D} {kind} text noisy {v}"
-            );
-        }
     }
 }
 
@@ -224,10 +204,13 @@ fn data_independent_families_work_in_every_dimension() {
 fn kd_and_hybrid_trees_work_end_to_end_at_three_dimensions() {
     let domain = cube::<3>();
     let pts = clustered::<3>(4000);
+    // The midpoint octree rides along: same structure, estimate, and
+    // publish checks as the data-dependent families.
     for config in [
         PsdConfig::kd_standard(domain, 4, 1.0),
         PsdConfig::kd_hybrid(domain, 4, 1.0, 2),
         PsdConfig::kd_noisymean(domain, 4, 1.0),
+        PsdConfig::quadtree(domain, 4, 1.0),
     ] {
         let tree = config.with_seed(33).build(&pts).unwrap();
         assert_eq!(tree.fanout(), 8);
@@ -281,9 +264,12 @@ fn dimension_mismatch_is_a_typed_load_error() {
         }
         other => panic!("expected a dimension-mismatch error, got {other:?}"),
     }
-    let mut buf = Vec::new();
-    write_release(&tree, &mut buf).unwrap();
-    assert!(read_release::<2, _>(buf.as_slice()).is_err());
+    match ReleasedSynopsis::<2>::from_flat_bytes(&tree.release().to_flat_bytes()) {
+        Err(DpsdError::Format { reason }) => {
+            assert!(reason.contains("3-dimensional"), "reason: {reason}")
+        }
+        other => panic!("expected a dimension-mismatch error, got {other:?}"),
+    }
 }
 
 #[test]
@@ -305,15 +291,14 @@ fn pre_generic_planar_artifacts_still_load() {
         loaded.query(&tree.domain().clone()).to_bits(),
         tree.query(tree.domain()).to_bits()
     );
-    // Same for the text format: a release without the `dims` line is
-    // read as planar.
-    let mut buf = Vec::new();
-    write_release(&tree, &mut buf).unwrap();
-    let text = String::from_utf8(buf).unwrap();
-    let legacy_text = text.replace("dims 2\n", "");
-    assert_ne!(legacy_text, text, "fixture drifted: no dims line found");
-    let loaded: PsdTree<2> = read_release(legacy_text.as_bytes()).unwrap();
-    assert_eq!(loaded.noisy_count(0), tree.noisy_count(0));
+    // The serving loader reads the same legacy artifact as planar too.
+    match dpsd::serve::AnySynopsis::load(legacy.as_bytes()).unwrap() {
+        dpsd::serve::AnySynopsis::D2(flat) => assert_eq!(
+            flat.query(tree.domain()).to_bits(),
+            tree.query(tree.domain()).to_bits()
+        ),
+        _ => panic!("a legacy artifact must load as planar"),
+    }
 }
 
 #[test]
@@ -339,18 +324,6 @@ fn pre_generic_planar_artifacts_still_load_for_grid_and_hilbert_families() {
         assert_eq!(
             loaded.query(tree.domain()).to_bits(),
             tree.query(tree.domain()).to_bits(),
-            "{}",
-            tree.kind()
-        );
-        let mut buf = Vec::new();
-        write_release(&tree, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let legacy_text = text.replace("dims 2\n", "");
-        assert_ne!(legacy_text, text, "fixture drifted: no dims line found");
-        let loaded: PsdTree<2> = read_release(legacy_text.as_bytes()).unwrap();
-        assert_eq!(
-            loaded.noisy_count(0),
-            tree.noisy_count(0),
             "{}",
             tree.kind()
         );

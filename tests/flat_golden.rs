@@ -384,3 +384,153 @@ fn tamper_rehash(mut blob: Vec<u8>) -> Vec<u8> {
     blob[8..16].copy_from_slice(&h.to_le_bytes());
     blob
 }
+
+/// The JSON member `key` of an object value, for in-place tampering.
+fn member<'v>(value: &'v mut serde::Value, key: &str) -> &'v mut serde::Value {
+    let serde::Value::Object(members) = value else {
+        panic!("not a JSON object");
+    };
+    &mut members
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .unwrap_or_else(|| panic!("fixture has no `{key}`"))
+        .1
+}
+
+/// Element `i` of a JSON array value.
+fn element(value: &mut serde::Value, i: usize) -> &mut serde::Value {
+    let serde::Value::Array(items) = value else {
+        panic!("not a JSON array");
+    };
+    &mut items[i]
+}
+
+/// One malformed-artifact table through both codecs: each defect is
+/// written once into the JSON value tree and once into the matching
+/// `dpsd-bin/v1` field (re-checksummed), and the two decoders must
+/// reject it with the **same** `Format` reason — one validator serves
+/// both. The JSON side edits the parsed value, so it can also carry
+/// non-finite numbers that JSON text cannot spell.
+#[test]
+fn malformed_artifacts_fail_alike_in_both_codecs() {
+    use serde::{Deserialize, Value};
+
+    let (domain, pts) = tiny_points::<2>();
+    let release = PsdConfig::quadtree(domain, 1, 2.0)
+        .with_seed(4242)
+        .build(&pts)
+        .unwrap()
+        .release();
+    assert!(release.as_tree().is_postprocessed());
+    let good_json: Value = serde_json::from_str(&release.to_json()).unwrap();
+    let good_bin = release.to_flat_bytes();
+    // Field offsets of this fixture (D = 2, height 1, 5 nodes).
+    const FANOUT: usize = 32;
+    const HEIGHT: usize = 40;
+    const NODES: usize = 48;
+    const EPSILON: usize = 56;
+    const EPS_COUNT: usize = 96;
+    const NOISY: usize = 312;
+
+    type JsonEdit = fn(&mut Value);
+    let cases: [(&str, JsonEdit, usize, [u8; 8], &str); 8] = [
+        (
+            "node count mismatch",
+            |v| {
+                if let Value::Array(nodes) = member(v, "nodes") {
+                    nodes.pop();
+                }
+            },
+            NODES,
+            4u64.to_le_bytes(),
+            "node count 4 does not match the complete tree (5 nodes)",
+        ),
+        (
+            "fanout not 2^dims",
+            |v| *member(v, "fanout") = Value::Number(3.0),
+            FANOUT,
+            3u64.to_le_bytes(),
+            "fanout 3 must be 2^dims",
+        ),
+        (
+            "absurd height",
+            |v| *member(v, "height") = Value::Number(4_000_000.0),
+            HEIGHT,
+            4_000_000u64.to_le_bytes(),
+            "exceeds the node cap",
+        ),
+        (
+            "negative epsilon",
+            |v| *member(v, "epsilon") = Value::Number(-1.0),
+            EPSILON,
+            (-1.0f64).to_le_bytes(),
+            "epsilon must be finite and non-negative",
+        ),
+        (
+            "non-finite level budget",
+            |v| *element(member(v, "eps_count"), 1) = Value::Number(f64::NAN),
+            EPS_COUNT + 8,
+            f64::NAN.to_le_bytes(),
+            "eps_count entries must be finite and non-negative",
+        ),
+        (
+            "non-finite count",
+            |v| *member(element(member(v, "nodes"), 2), "count") = Value::Number(f64::INFINITY),
+            NOISY + 2 * 8,
+            f64::INFINITY.to_le_bytes(),
+            "node counts must be finite",
+        ),
+        (
+            "postprocessed with zero leaf budget",
+            |v| *element(member(v, "eps_count"), 0) = Value::Number(0.0),
+            EPS_COUNT,
+            0.0f64.to_le_bytes(),
+            "leaf-level count budget",
+        ),
+        (
+            "under-declared epsilon",
+            |v| *member(v, "epsilon") = Value::Number(0.01),
+            EPSILON,
+            0.01f64.to_le_bytes(),
+            "declared epsilon 0.01 is below",
+        ),
+    ];
+    let reason = |result: Result<(), DpsdError>, what: &str| match result {
+        Err(DpsdError::Format { reason }) => reason,
+        other => panic!("{what}: expected a Format error, got {other:?}"),
+    };
+    for (label, edit, offset, bytes, needle) in cases {
+        let mut json = good_json.clone();
+        edit(&mut json);
+        let mut bin = good_bin.clone();
+        bin[offset..offset + 8].copy_from_slice(&bytes);
+        let bin = tamper_rehash(bin);
+
+        let reasons = [
+            reason(
+                FlatSynopsis::<2>::deserialize(&json)
+                    .map(drop)
+                    .map_err(DpsdError::from),
+                label,
+            ),
+            reason(
+                ReleasedSynopsis::<2>::deserialize(&json)
+                    .map(drop)
+                    .map_err(DpsdError::from),
+                label,
+            ),
+            reason(FlatSynopsis::<2>::from_bytes(&bin).map(drop), label),
+            reason(
+                ReleasedSynopsis::<2>::from_flat_bytes(&bin).map(drop),
+                label,
+            ),
+        ];
+        assert!(reasons[0].contains(needle), "{label}: `{}`", reasons[0]);
+        for r in &reasons[1..] {
+            assert_eq!(r, &reasons[0], "{label}: the codecs disagree");
+        }
+    }
+    // The untouched fixture loads through every route.
+    assert!(FlatSynopsis::<2>::deserialize(&good_json).is_ok());
+    assert!(FlatSynopsis::<2>::from_bytes(&good_bin).is_ok());
+}

@@ -2,6 +2,7 @@
 //! arbitrary data, budgets, and query rectangles.
 
 use dpsd::prelude::*;
+use dpsd::serve::AnySynopsis;
 use proptest::prelude::*;
 
 /// Strategy: a small clustered point set inside the unit-ish domain.
@@ -191,8 +192,6 @@ proptest! {
         seed in 0u64..1000,
         qs in queries_strategy(),
     ) {
-        use dpsd::core::ndim::NdTreeConfig;
-        let nd_domain = Rect::from_corners([0.0, 0.0], [100.0, 100.0]).unwrap();
         let tree = PsdConfig::kd_hybrid(domain(), 3, 0.5, 1).with_seed(seed).build(&pts).unwrap();
         let backends: Vec<Box<dyn SpatialSynopsis>> = vec![
             Box::new(tree.release()),
@@ -201,7 +200,6 @@ proptest! {
             Box::new(PsdConfig::hilbert_r(domain(), 3, 0.5).with_hilbert_order(8).with_seed(seed).build(&pts).unwrap()),
             Box::new(FlatGrid::build(&pts, domain(), 16, 16, 0.5, seed).unwrap()),
             Box::new(ExactIndex::build(&pts, domain(), 32).unwrap()),
-            Box::new(NdTreeConfig::new(nd_domain, 3, 0.5).with_seed(seed).build(&pts).unwrap()),
         ];
         for backend in &backends {
             let batch = backend.query_batch(&qs);
@@ -264,14 +262,31 @@ proptest! {
     }
 }
 
+/// The `D`-dimensional arena inside a serving-layer synopsis.
+fn typed_arena<const D: usize>(any: AnySynopsis) -> FlatSynopsis<D> {
+    let boxed: Box<dyn std::any::Any> = match any {
+        AnySynopsis::D1(s) => Box::new(s),
+        AnySynopsis::D2(s) => Box::new(s),
+        AnySynopsis::D3(s) => Box::new(s),
+        AnySynopsis::D4(s) => Box::new(s),
+    };
+    *boxed
+        .downcast::<FlatSynopsis<D>>()
+        .expect("the artifact loads in its own dimension")
+}
+
 /// Drives the cross-format round-trip for one dimensionality: build a
 /// private tree over the first `D` coordinates of each row, publish it
-/// as JSON, parse that back, re-encode as `dpsd-bin/v1`, and load the
-/// blob through both the tree-backed [`ReleasedSynopsis`] path and the
-/// [`FlatSynopsis`] arena. Every representation must answer every
-/// query with bit-identical `f64`s, the binary re-encode must be
-/// byte-stable, and the flat kernel's batch answers must equal its
-/// singles. Plain `assert!`s: proptest catches the panic and shrinks.
+/// as JSON and as `dpsd-bin/v1`, and load both through the tree-free
+/// serving routes (`AnySynopsis::load` on the JSON text,
+/// `FlatSynopsis::from_bytes` on the blob), and the blob through the
+/// tree-backed [`ReleasedSynopsis`] loader. Every route must answer
+/// every query, single and batch, with exactly the bits of the
+/// reference arena flattened from the source tree, and the binary
+/// re-encode must be byte-stable. (The JSON tree route is pinned
+/// column by column in `tests/dim_generic.rs`.) Plain `assert!`s:
+/// proptest catches the panic and shrinks.
+#[allow(clippy::too_many_arguments)]
 fn flat_roundtrip_case<const D: usize>(
     rows: &[Vec<f64>],
     qlos: &[Vec<f64>],
@@ -280,6 +295,7 @@ fn flat_roundtrip_case<const D: usize>(
     eps: f64,
     family: usize,
     postprocess: bool,
+    pruned: bool,
 ) {
     let nd_domain = Rect::from_corners([0.0; D], [100.0; D]).unwrap();
     let points: Vec<Point<D>> = rows
@@ -295,7 +311,15 @@ fn flat_roundtrip_case<const D: usize>(
     let config = match family {
         0 => PsdConfig::quadtree(nd_domain, 2, eps),
         1 => PsdConfig::kd_standard(nd_domain, 3, eps),
+        2 => PsdConfig::kd_hybrid(nd_domain, 2, eps, 1),
+        3 => PsdConfig::kd_noisymean(nd_domain, 2, eps),
+        4 => PsdConfig::kd_cell(nd_domain, 2, eps, (8, 8)),
         _ => PsdConfig::hilbert_r(nd_domain, 2, eps).with_hilbert_order(6),
+    };
+    let config = if pruned {
+        config.with_prune_threshold(10.0)
+    } else {
+        config
     };
     let tree = config
         .with_postprocess(postprocess)
@@ -316,48 +340,72 @@ fn flat_roundtrip_case<const D: usize>(
         })
         .collect();
 
-    let via_json = ReleasedSynopsis::<D>::from_json_str(&tree.release().to_json_string()).unwrap();
-    let blob = via_json.to_flat_bytes();
+    let reference = FlatSynopsis::from_tree(&tree);
+    let want = reference.query_batch(&queries);
+    let json = tree.release().to_json_string();
+    let blob = tree.release().to_flat_bytes();
+    let arenas = [
+        (
+            "json arena",
+            typed_arena::<D>(AnySynopsis::load(json.as_bytes()).unwrap()),
+        ),
+        ("bin arena", FlatSynopsis::<D>::from_bytes(&blob).unwrap()),
+    ];
+    for (route, arena) in &arenas {
+        assert_eq!(
+            arena.node_count(),
+            reference.node_count(),
+            "{route} (D={D})"
+        );
+        assert_eq!(arena.epsilon().to_bits(), reference.epsilon().to_bits());
+        assert_eq!(arena.is_postprocessed(), reference.is_postprocessed());
+        assert_eq!(arena.resident_bytes(), reference.resident_bytes());
+        let batch = arena.query_batch(&queries);
+        for (i, q) in queries.iter().enumerate() {
+            assert_eq!(
+                batch[i].to_bits(),
+                want[i].to_bits(),
+                "{route} batch diverged from the reference on {q:?} (D={D})"
+            );
+            assert_eq!(
+                arena.query(q).to_bits(),
+                want[i].to_bits(),
+                "{route} single diverged from the reference on {q:?} (D={D})"
+            );
+        }
+    }
+
     let via_bin = ReleasedSynopsis::<D>::from_flat_bytes(&blob).unwrap();
-    let flat = FlatSynopsis::<D>::from_bytes(&blob).unwrap();
     assert_eq!(
         via_bin.to_flat_bytes(),
         blob,
         "binary re-encode drifted (D={D})"
     );
-    assert_eq!(flat.node_count(), via_json.node_count());
-    assert_eq!(flat.epsilon().to_bits(), via_json.epsilon().to_bits());
-
-    let json_batch = via_json.query_batch(&queries);
-    let bin_batch = via_bin.query_batch(&queries);
-    let flat_batch = flat.query_batch(&queries);
-    for (i, q) in queries.iter().enumerate() {
-        assert_eq!(
-            json_batch[i].to_bits(),
-            bin_batch[i].to_bits(),
-            "JSON and binary releases diverged on {q:?} (D={D})"
-        );
-        assert_eq!(
-            json_batch[i].to_bits(),
-            flat_batch[i].to_bits(),
-            "flat arena diverged from the tree on {q:?} (D={D})"
-        );
-        assert_eq!(
-            flat.query(q).to_bits(),
-            flat_batch[i].to_bits(),
-            "flat batch diverged from flat singles on {q:?} (D={D})"
-        );
+    for (route, got) in [
+        ("bin tree", via_bin.query_batch(&queries)),
+        (
+            "reference singles",
+            queries.iter().map(|q| reference.query(q)).collect(),
+        ),
+    ] {
+        for (i, q) in queries.iter().enumerate() {
+            assert_eq!(
+                got[i].to_bits(),
+                want[i].to_bits(),
+                "{route} diverged from the reference on {q:?} (D={D})"
+            );
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `dpsd-bin/v1` round-trip: for random releases in 1..=4
-    /// dimensions across three tree families, JSON -> binary ->
-    /// `FlatSynopsis` is bit-identical query-for-query, the binary
-    /// re-encode is byte-stable, and the flat kernel's batch path
-    /// returns exactly its singles.
+    /// Artifact round-trip: for random releases in 1..=4 dimensions,
+    /// across six tree families, with and without OLS and pruning, the
+    /// tree-free JSON and `dpsd-bin/v1` load routes answer bit-for-bit
+    /// like the arena flattened from the source tree, and the binary
+    /// re-encode is byte-stable.
     #[test]
     fn flat_binary_roundtrip_is_bit_identical_in_all_dims(
         rows in prop::collection::vec(prop::collection::vec(0.0f64..100.0, 4..5), 1..120),
@@ -365,14 +413,16 @@ proptest! {
         qws in prop::collection::vec(prop::collection::vec(0.5f64..50.0, 4..5), 1..16),
         seed in 0u64..1000,
         eps in 0.1f64..2.0,
-        family in 0usize..3,
+        family in 0usize..6,
         pp in 0usize..2,
+        prune in 0usize..2,
     ) {
         let n_q = qlos.len().min(qws.len());
         let (qlos, qws) = (&qlos[..n_q], &qws[..n_q]);
-        flat_roundtrip_case::<1>(&rows, qlos, qws, seed, eps, family, pp == 1);
-        flat_roundtrip_case::<2>(&rows, qlos, qws, seed, eps, family, pp == 1);
-        flat_roundtrip_case::<3>(&rows, qlos, qws, seed, eps, family, pp == 1);
-        flat_roundtrip_case::<4>(&rows, qlos, qws, seed, eps, family, pp == 1);
+        let (pp, prune) = (pp == 1, prune == 1);
+        flat_roundtrip_case::<1>(&rows, qlos, qws, seed, eps, family, pp, prune);
+        flat_roundtrip_case::<2>(&rows, qlos, qws, seed, eps, family, pp, prune);
+        flat_roundtrip_case::<3>(&rows, qlos, qws, seed, eps, family, pp, prune);
+        flat_roundtrip_case::<4>(&rows, qlos, qws, seed, eps, family, pp, prune);
     }
 }

@@ -185,12 +185,34 @@ fn publish_and_query_3d_bit_identical_over_the_wire() {
 }
 
 #[test]
-fn text_release_format_publishes_too() {
+fn retired_text_release_format_is_a_400() {
     let handle = start_server(ServeConfig::default());
     let mut client = Client::connect(handle.addr()).unwrap();
     let direct = synopsis_2d(31);
-    publish(&mut client, "textual", &direct.to_release_text());
+    publish(&mut client, "textual", &direct.to_json_string());
+    let info_before = client.get("/synopses/textual").unwrap().body;
+    let list_before = client.get("/synopses").unwrap().body;
 
+    // The line-oriented text release is no longer a published format:
+    // its body is rejected as invalid JSON, whether it replaces an
+    // existing name or would create a new one.
+    let text = "dpsd-release v1\nkind quadtree\nfanout 4\ndims 2\nheight 0\n\
+                domain 0 0 1 1\nepsilon 1\neps_count 1\neps_median 0\nnodes 1\n\
+                n 0 0 1 1 3.5 0\n";
+    for name in ["textual", "fresh"] {
+        let response = client.post(&format!("/synopses/{name}"), text).unwrap();
+        assert_eq!(response.status, 400, "{}", response.body);
+        assert_eq!(
+            response.body,
+            "{\"error\":\"bad request: artifact is not valid JSON: \
+             serde error: expected a JSON value at byte 0\"}"
+        );
+    }
+
+    // Nothing changed: same version, same listing, no new tenant.
+    assert_eq!(client.get("/synopses/textual").unwrap().body, info_before);
+    assert_eq!(client.get("/synopses").unwrap().body, list_before);
+    assert_eq!(client.get("/synopses/fresh").unwrap().status, 404);
     let q = wire_rect(&Rect::new(3.0, 5.0, 41.0, 29.0).unwrap());
     let got = single_estimate(&mut client, "textual", &q);
     let want = direct.query(&Rect::new(3.0, 5.0, 41.0, 29.0).unwrap());

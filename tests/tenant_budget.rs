@@ -329,3 +329,55 @@ fn refused_publish_leaves_every_observable_unchanged() {
     let stats_after = client.get("/stats").unwrap().json().unwrap();
     assert_eq!(cache_entries(&stats_after), entries_before);
 }
+
+/// An artifact whose declared `epsilon` is below what its level budgets
+/// spend would be debited at the declared value; the shared artifact
+/// validator rejects it in both codecs before the ledger is touched.
+#[test]
+fn under_declared_epsilon_is_a_400_that_changes_nothing() {
+    let handle = start_server();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let honest = client
+        .post("/synopses/declared?budget_cap=2.0", &artifact(0.5, 51))
+        .unwrap();
+    assert_eq!(honest.status, 200, "{}", honest.body);
+    let info_before = client.get("/synopses/declared").unwrap().body;
+
+    // JSON: the levels still sum to 0.5, the header claims 0.01.
+    let genuine = artifact(0.5, 52);
+    let crafted_json = genuine.replace("\"epsilon\":0.5", "\"epsilon\":0.01");
+    assert_ne!(crafted_json, genuine, "fixture drifted: no epsilon field");
+    // dpsd-bin: the same lie in the header's epsilon field (offset 56),
+    // re-checksummed so only the declaration is wrong.
+    let mut crafted_bin = ReleasedSynopsis::<2>::from_json(&genuine)
+        .unwrap()
+        .to_flat_bytes();
+    crafted_bin[56..64].copy_from_slice(&0.01f64.to_le_bytes());
+    let mut sum = 0xcbf2_9ce4_8422_2325u64;
+    for &b in &crafted_bin[16..] {
+        sum ^= u64::from(b);
+        sum = sum.wrapping_mul(0x100_0000_01b3);
+    }
+    crafted_bin[8..16].copy_from_slice(&sum.to_le_bytes());
+
+    let refusals = [
+        client.post("/synopses/declared", &crafted_json).unwrap(),
+        client
+            .post_bytes("/synopses/declared", &crafted_bin)
+            .unwrap(),
+    ];
+    for refused in refusals {
+        assert_eq!(refused.status, 400, "{}", refused.body);
+        let reason = refused.error_message().unwrap();
+        assert!(reason.contains("declared epsilon 0.01"), "{reason}");
+    }
+
+    let info_after = client.get("/synopses/declared").unwrap();
+    assert_eq!(
+        info_after.body, info_before,
+        "info (version + budget) must be byte-identical after a rejection"
+    );
+    let parsed = info_after.json().unwrap();
+    assert_eq!(version_of(&parsed), 1);
+    assert_eq!(budget_of(&parsed).1.to_bits(), 0.5f64.to_bits());
+}
