@@ -3,8 +3,10 @@
 //! workload as `batch_query`. Two comparisons, both CI-gated by
 //! `compare_bench --assert-order`:
 //!
-//! 1. **Query**: `flat_query_batch` (SoA sweep) must not be slower than
-//!    `tree_query_batch` (recursive descent), at heights 7 and 9.
+//! 1. **Query**: `flat_query_batch` (one explicit-stack descent per
+//!    query over the SoA columns) must not be slower than
+//!    `tree_query_batch` (the pointer tree's shared recursive batch
+//!    walk), at heights 7 and 9.
 //! 2. **Load**: `bin_load` (binary validate-then-index) must not be
 //!    slower than `json_parse` (text parse into the pointer tree). The
 //!    load group runs at height 6: the vendored JSON parser is

@@ -174,7 +174,8 @@ pub const MIN_SHARD: usize = 64;
 ///
 /// The shard count adapts to `par` (a few shards per worker, for load
 /// balance) but keeps every shard at `min_shard` items or more — only
-/// the final remainder chunk may come up short. Output
+/// the final remainder chunk may come up short. Inputs shorter than
+/// `2 * min_shard` go to `f` whole, on the caller's thread. Output
 /// equals `f(items)` whenever `f` is *shard-oblivious* — maps each item
 /// independently of its neighbours, as the batched range-query
 /// traversal does (its per-query answers are bit-identical to single
@@ -185,9 +186,15 @@ where
     R: Send,
     F: Fn(&[T]) -> Vec<R> + Sync,
 {
-    let workers = par.threads();
+    // Fewer than two shards' worth of items is one shard on the
+    // caller's thread whatever `par` says, so skip resolving it: for
+    // `Auto` that is a system query on every call.
     let min_shard = min_shard.max(1);
-    if workers <= 1 || items.len() <= min_shard {
+    if items.len() < min_shard.saturating_mul(2) {
+        return f(items);
+    }
+    let workers = par.threads();
+    if workers <= 1 {
         return f(items);
     }
     // A few shards per worker smooths uneven per-item cost; the floor
@@ -256,6 +263,28 @@ mod tests {
         );
         let none: Vec<u64> = vec![];
         assert!(par_map_shards(Parallelism::fixed(4), &none, 64, f).is_empty());
+    }
+
+    #[test]
+    fn under_two_shards_runs_whole_on_the_caller() {
+        let caller = std::thread::current().id();
+        for len in [64usize, 100, 127] {
+            let items: Vec<u64> = (0..len as u64).collect();
+            let calls = Mutex::new(Vec::new());
+            let out = par_map_shards(Parallelism::fixed(8), &items, 64, |chunk| {
+                calls
+                    .lock()
+                    .unwrap()
+                    .push((chunk.len(), std::thread::current().id()));
+                chunk.to_vec()
+            });
+            assert_eq!(out, items);
+            assert_eq!(
+                calls.into_inner().unwrap(),
+                vec![(len, caller)],
+                "len {len}"
+            );
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! synopsis serializes to one little-endian byte blob of
 //! **structure-of-arrays columns** which a validate-then-index pass
 //! loads into a [`FlatSynopsis`] arena — a handful of contiguous `Vec`s,
-//! zero per-node allocation — whose batch kernel sweeps
-//! rect-intersection tests over the raw `f64` slices.
+//! zero per-node allocation — whose query kernel descends it one query
+//! at a time, testing rect intersection against the raw `f64` columns.
 //!
 //! Both published codecs decode into one column form, checked by one
 //! validator, and the arena is built from those columns without a
@@ -17,6 +17,7 @@
 //!
 //! Answers are **bit-identical** to the pointer path: the kernel settles
 //! nodes in exactly the same depth-first preorder as
+//! [`crate::query::range_query`] and
 //! [`crate::query::range_query_batch`], so `f64` accumulation order (and
 //! therefore every bit of every answer) is preserved. The golden
 //! fingerprint suite and the flat-parity assertions in the benches
@@ -600,21 +601,6 @@ pub(crate) fn decode<const D: usize>(bytes: &[u8]) -> Result<Columns<D>, DpsdErr
     .validate()
 }
 
-/// Batches are carried as `u32` query indices (half the frontier memory
-/// of `usize`); workloads beyond `u32::MAX` queries are swept in chunks.
-// dpsd-allow(no-silent-as-truncation): u32::MAX widens into usize on every supported target
-const MAX_BATCH_CHUNK: usize = u32::MAX as usize;
-
-/// One in-flight sibling block of the iterative depth-first sweep: the
-/// cursor walks nodes `first..first + len`, `list` holds the query
-/// indices still undecided for this subtree.
-struct Frame {
-    first: usize,
-    len: usize,
-    next: usize,
-    list: Vec<u32>,
-}
-
 /// A released synopsis flattened into structure-of-arrays columns: the
 /// zero-per-node-allocation arena behind `dpsd-bin` serving.
 ///
@@ -639,8 +625,8 @@ pub struct FlatSynopsis<const D: usize = 2> {
     /// Node count.
     n: usize,
     /// Axis-major minima: `mins[k * n + v]` is node `v`'s lower bound on
-    /// axis `k`. Keeping each axis contiguous is what lets the sweep
-    /// autovectorize.
+    /// axis `k`. The same layout as the wire, so a blob's columns move
+    /// in without a transpose.
     mins: Vec<f64>,
     maxs: Vec<f64>,
     /// `Auto`-resolved counts (posted when available, else noisy);
@@ -838,148 +824,93 @@ impl<const D: usize> FlatSynopsis<D> {
         Rect { min, max }
     }
 
-    /// Whether node `v` has children in the complete tree.
-    #[inline]
-    fn has_children(&self, v: usize) -> bool {
-        self.height > 0 && v < self.level_first[self.height]
-    }
-
-    /// Single-query descent, op-for-op the recursion of
-    /// [`crate::query::range_query`] (and its profiled variant) so the
-    /// accumulation order — and therefore every output bit — matches.
-    fn descend_single(
-        &self,
-        v: usize,
-        query: &Rect<D>,
-        acc: &mut f64,
-        profile: &mut Option<QueryProfile>,
-    ) {
-        let node = self.node_rect(v);
-        if !node.intersects(query) {
-            return;
-        }
-        let leafish = self.leafish[v];
-        if node.inside(query) {
-            if self.has_count[v] {
-                if let Some(p) = profile.as_mut() {
-                    p.contained_per_level[self.level_of(v)] += 1;
-                }
-                *acc += self.counts[v];
-                return;
-            }
-            if leafish {
-                return;
-            }
-        } else if leafish {
-            if self.has_count[v] {
-                let fraction = node.overlap_fraction(query);
-                if fraction > 0.0 {
-                    if let Some(p) = profile.as_mut() {
-                        p.partial_leaves += 1;
-                    }
-                    *acc += self.counts[v] * fraction;
-                }
-            }
-            return;
-        }
-        if self.has_children(v) {
-            let first = self.fanout * v + 1;
-            for child in first..first + self.fanout {
-                self.descend_single(child, query, acc, profile);
-            }
-        }
-    }
-
-    /// The batch sweep over one `u32`-indexable chunk. An explicit
-    /// cursor stack replaces the tree path's recursion, but nodes are
-    /// settled in the **same depth-first preorder** — one sibling at a
-    /// time, descending immediately — so `f64` accumulation order is
-    /// identical and answers stay bit-for-bit equal to
-    /// [`crate::query::range_query_batch`].
-    fn batch_chunk(&self, queries: &[Rect<D>], answers: &mut [f64]) {
-        debug_assert_eq!(queries.len(), answers.len());
-        if queries.is_empty() {
-            return;
-        }
-        let root_active: Vec<u32> = (0u32..).take(queries.len()).collect();
-        let mut stack: Vec<Frame> = vec![Frame {
-            first: 0,
-            len: 1,
-            next: 0,
-            list: root_active,
-        }];
-        let mut pool: Vec<Vec<u32>> = Vec::new();
+    /// The per-query descent behind every query entry point. An
+    /// explicit node stack replaces the tree path's recursion; children
+    /// are pushed in reverse so nodes settle in the tree's depth-first
+    /// preorder, every `f64` is added in the same order as
+    /// [`crate::query::range_query`] adds it, and answers stay
+    /// bit-for-bit equal. `stack` is scratch space that callers reuse
+    /// across queries; `sink` sees every settled node.
+    fn descend<S: Sink<D>>(&self, query: &Rect<D>, stack: &mut Vec<usize>, sink: &mut S) -> f64 {
         let n = self.n;
-        while let Some(top) = stack.last() {
-            if top.next == top.len {
-                if let Some(done) = stack.pop() {
-                    let mut list = done.list;
-                    list.clear();
-                    pool.push(list);
+        let mut acc = 0.0;
+        stack.clear();
+        stack.push(0);
+        while let Some(v) = stack.pop() {
+            // Branch-light containment tests: both fold over the axis
+            // columns with no early exit, exact because they are pure
+            // comparisons (no float arithmetic).
+            let mut intersecting = true;
+            let mut inside = true;
+            for k in 0..D {
+                let lo = self.mins[k * n + v];
+                let hi = self.maxs[k * n + v];
+                intersecting &= lo <= query.max[k] && query.min[k] <= hi;
+                inside &= lo >= query.min[k] && hi <= query.max[k];
+            }
+            if !intersecting {
+                continue;
+            }
+            let leafish = self.leafish[v];
+            if inside {
+                if self.has_count[v] {
+                    sink.contained(self, v);
+                    acc += self.counts[v];
+                    continue;
+                }
+                if leafish {
+                    continue;
+                }
+            } else if leafish {
+                if self.has_count[v] {
+                    // The real geometry method, on the rebuilt rect:
+                    // op-identical to the tree path's uniformity
+                    // estimate.
+                    let fraction = self.node_rect(v).overlap_fraction(query);
+                    if fraction > 0.0 {
+                        sink.partial_leaf();
+                        acc += self.counts[v] * fraction;
+                    }
                 }
                 continue;
             }
-            let v = top.first + top.next;
-            let leafish = self.leafish[v];
-            let has = self.has_count[v];
-            let count = self.counts[v];
-            let mut forwarded = pool.pop().unwrap_or_default();
-            for &qi in &top.list {
-                // dpsd-allow(no-silent-as-truncation): indices come from `0u32..take(len)`; widening into usize
-                let i = qi as usize;
-                let q = &queries[i];
-                // Branch-light containment sweep: both tests fold over
-                // the axis columns with no early exit, exact because
-                // they are pure comparisons (no float arithmetic).
-                let mut intersecting = true;
-                let mut inside = true;
-                for k in 0..D {
-                    let off = k * n + v;
-                    let lo = self.mins[off];
-                    let hi = self.maxs[off];
-                    intersecting &= lo <= q.max[k] && q.min[k] <= hi;
-                    inside &= lo >= q.min[k] && hi <= q.max[k];
-                }
-                if !intersecting {
-                    continue;
-                }
-                if inside {
-                    if has {
-                        answers[i] += count;
-                        continue;
-                    }
-                    if leafish {
-                        continue;
-                    }
-                } else if leafish {
-                    if has {
-                        // The real geometry method, on the rebuilt rect:
-                        // op-identical to the tree path's uniformity
-                        // estimate.
-                        let fraction = self.node_rect(v).overlap_fraction(q);
-                        if fraction > 0.0 {
-                            answers[i] += count * fraction;
-                        }
-                    }
-                    continue;
-                }
-                forwarded.push(qi);
-            }
-            let depth = stack.len() - 1;
-            stack[depth].next += 1;
-            if forwarded.is_empty() {
-                pool.push(forwarded);
-            } else {
-                // Non-empty `forwarded` implies the node fell through
-                // both leaf arms, so it has children.
-                stack.push(Frame {
-                    first: self.fanout * v + 1,
-                    len: self.fanout,
-                    next: 0,
-                    list: forwarded,
-                });
-            }
+            // Not an effective leaf, so not on the bottom level: the
+            // node has a full block of children.
+            let first = self.fanout * v + 1;
+            stack.extend((first..first + self.fanout).rev());
         }
+        acc
+    }
+
+    /// A descent stack sized for the deepest path: each level below the
+    /// root leaves at most `fanout - 1` siblings waiting.
+    fn stack(&self) -> Vec<usize> {
+        Vec::with_capacity(self.height * (self.fanout - 1) + 1)
+    }
+}
+
+/// What a descent reports about the nodes it settles. The unprofiled
+/// path uses `()`, whose empty methods compile away; the profiled path
+/// fills a [`QueryProfile`].
+trait Sink<const D: usize> {
+    /// Node `v` was maximally contained and contributed its count.
+    fn contained(&mut self, flat: &FlatSynopsis<D>, v: usize);
+    /// A partially covered leaf contributed a uniformity share.
+    fn partial_leaf(&mut self);
+}
+
+impl<const D: usize> Sink<D> for () {
+    fn contained(&mut self, _: &FlatSynopsis<D>, _: usize) {}
+    fn partial_leaf(&mut self) {}
+}
+
+impl<const D: usize> Sink<D> for QueryProfile {
+    fn contained(&mut self, flat: &FlatSynopsis<D>, v: usize) {
+        self.contained_per_level[flat.level_of(v)] += 1;
+    }
+
+    fn partial_leaf(&mut self) {
+        self.partial_leaves += 1;
     }
 }
 
@@ -994,35 +925,24 @@ impl<const D: usize> Deserialize for FlatSynopsis<D> {
 
 impl<const D: usize> SpatialSynopsis<D> for FlatSynopsis<D> {
     fn query(&self, query: &Rect<D>) -> f64 {
-        let mut acc = 0.0;
-        let mut profile = None;
-        self.descend_single(0, query, &mut acc, &mut profile);
-        acc
+        self.descend(query, &mut self.stack(), &mut ())
     }
 
     fn query_batch(&self, queries: &[Rect<D>]) -> Vec<f64> {
-        let mut answers = vec![0.0f64; queries.len()];
-        for (chunk, out) in queries
-            .chunks(MAX_BATCH_CHUNK)
-            .zip(answers.chunks_mut(MAX_BATCH_CHUNK))
-        {
-            self.batch_chunk(chunk, out);
-        }
-        answers
+        let mut stack = self.stack();
+        queries
+            .iter()
+            .map(|q| self.descend(q, &mut stack, &mut ()))
+            .collect()
     }
 
     fn query_profiled(&self, query: &Rect<D>) -> (f64, QueryProfile) {
-        let mut acc = 0.0;
-        let mut profile = Some(QueryProfile {
+        let mut profile = QueryProfile {
             contained_per_level: vec![0; self.height + 1],
             partial_leaves: 0,
-        });
-        self.descend_single(0, query, &mut acc, &mut profile);
-        let profile = profile.unwrap_or(QueryProfile {
-            contained_per_level: Vec::new(),
-            partial_leaves: 0,
-        });
-        (acc, profile)
+        };
+        let answer = self.descend(query, &mut self.stack(), &mut profile);
+        (answer, profile)
     }
 
     fn domain(&self) -> Rect<D> {

@@ -275,6 +275,96 @@ fn typed_arena<const D: usize>(any: AnySynopsis) -> FlatSynopsis<D> {
         .expect("the artifact loads in its own dimension")
 }
 
+/// Queries that stress the closed-boundary tests and the settle order:
+/// every sampled node's own box (corners copied from the node bounds,
+/// so the intersect and inside comparisons hit equality), that box
+/// flattened to zero width on each axis, grown past the domain on the
+/// low side, and shrunk to its lower corner, plus the domain itself and
+/// a box wholly outside it. The list is then mirrored until it is long
+/// enough for `query_batch_parallel` to shard, so every rect appears
+/// at least twice.
+fn boundary_queries<const D: usize>(tree: &PsdTree<D>) -> Vec<Rect<D>> {
+    let n = SpatialSynopsis::node_count(tree);
+    let domain = *tree.domain();
+    let mut qs = vec![
+        domain,
+        Rect::from_corners(domain.max, domain.max.map(|x| x + 5.0)).unwrap(),
+    ];
+    for v in (0..n).step_by(n.div_ceil(16)) {
+        let r = *tree.rect(v);
+        qs.push(r);
+        for k in 0..D {
+            let mut flat = r;
+            flat.max[k] = flat.min[k];
+            qs.push(flat);
+        }
+        qs.push(Rect::from_corners(r.min.map(|x| x - 10.0), r.max).unwrap());
+        qs.push(Rect::from_corners(r.min, r.min).unwrap());
+    }
+    while qs.len() < 2 * dpsd::core::exec::MIN_SHARD {
+        let mirrored: Vec<Rect<D>> = qs.iter().rev().copied().collect();
+        qs.extend(mirrored);
+    }
+    qs
+}
+
+/// What `PsdTree` answers for a list of queries: the batch traversal,
+/// and the recursive walk's answer and profile per query.
+struct TreeAnswers {
+    batch: Vec<f64>,
+    profiled: Vec<(f64, QueryProfile)>,
+}
+
+impl TreeAnswers {
+    fn of<const D: usize>(tree: &PsdTree<D>, queries: &[Rect<D>]) -> Self {
+        TreeAnswers {
+            batch: tree.query_batch(queries),
+            profiled: queries.iter().map(|q| tree.query_profiled(q)).collect(),
+        }
+    }
+}
+
+/// Every arena query entry point answers `queries` with exactly the
+/// bits `PsdTree` gives: singles and profiles against the recursive
+/// walk, the batch and the sharded batch against the tree's batch.
+fn assert_arena_matches_tree<const D: usize>(
+    route: &str,
+    arena: &FlatSynopsis<D>,
+    queries: &[Rect<D>],
+    want: &TreeAnswers,
+) {
+    for (what, got) in [
+        ("batch", arena.query_batch(queries)),
+        (
+            "parallel",
+            arena.query_batch_parallel(queries, Parallelism::fixed(3)),
+        ),
+    ] {
+        assert_eq!(got.len(), queries.len(), "{route} {what} (D={D})");
+        for (i, q) in queries.iter().enumerate() {
+            assert_eq!(
+                got[i].to_bits(),
+                want.batch[i].to_bits(),
+                "{route} {what} diverged from the tree on {q:?} (D={D})"
+            );
+        }
+    }
+    for (q, (answer, profile)) in queries.iter().zip(&want.profiled) {
+        let (got, got_profile) = arena.query_profiled(q);
+        assert_eq!(
+            got.to_bits(),
+            answer.to_bits(),
+            "{route} profiled {q:?} (D={D})"
+        );
+        assert_eq!(&got_profile, profile, "{route} profile {q:?} (D={D})");
+        assert_eq!(
+            arena.query(q).to_bits(),
+            answer.to_bits(),
+            "{route} single diverged from the tree on {q:?} (D={D})"
+        );
+    }
+}
+
 /// Drives the cross-format round-trip for one dimensionality: build a
 /// private tree over the first `D` coordinates of each row, publish it
 /// as JSON and as `dpsd-bin/v1`, and load both through the tree-free
@@ -283,7 +373,10 @@ fn typed_arena<const D: usize>(any: AnySynopsis) -> FlatSynopsis<D> {
 /// tree-backed [`ReleasedSynopsis`] loader. Every route must answer
 /// every query, single and batch, with exactly the bits of the
 /// reference arena flattened from the source tree, and the binary
-/// re-encode must be byte-stable. (The JSON tree route is pinned
+/// re-encode must be byte-stable. Every arena must also match
+/// `PsdTree` itself through all four query entry points on the
+/// [`boundary_queries`] plus the random ones, and on an empty batch.
+/// (The JSON tree route is pinned
 /// column by column in `tests/dim_generic.rs`.) Plain `assert!`s:
 /// proptest catches the panic and shrinks.
 #[allow(clippy::too_many_arguments)]
@@ -351,7 +444,13 @@ fn flat_roundtrip_case<const D: usize>(
         ),
         ("bin arena", FlatSynopsis::<D>::from_bytes(&blob).unwrap()),
     ];
+    let mut edges = boundary_queries(&tree);
+    edges.extend_from_slice(&queries);
+    let tree_edges = TreeAnswers::of(&tree, &edges);
+    assert_arena_matches_tree("reference", &reference, &edges, &tree_edges);
+    assert_arena_matches_tree("reference", &reference, &[], &TreeAnswers::of(&tree, &[]));
     for (route, arena) in &arenas {
+        assert_arena_matches_tree(route, arena, &edges, &tree_edges);
         assert_eq!(
             arena.node_count(),
             reference.node_count(),
@@ -404,7 +503,8 @@ proptest! {
     /// Artifact round-trip: for random releases in 1..=4 dimensions,
     /// across six tree families, with and without OLS and pruning, the
     /// tree-free JSON and `dpsd-bin/v1` load routes answer bit-for-bit
-    /// like the arena flattened from the source tree, and the binary
+    /// like the arena flattened from the source tree and like the tree
+    /// itself, boundary-touching queries included, and the binary
     /// re-encode is byte-stable.
     #[test]
     fn flat_binary_roundtrip_is_bit_identical_in_all_dims(
