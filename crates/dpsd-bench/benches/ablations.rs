@@ -13,7 +13,7 @@ use dpsd_core::median::{smooth_sensitivity_sigma, smoothing_xi};
 use dpsd_core::postprocess::ols_over_columns;
 use dpsd_core::rng::seeded;
 use dpsd_core::tree::complete_tree_nodes;
-use dpsd_hilbert::HilbertCurve;
+use dpsd_hilbert::NdCurve;
 use rand::Rng;
 
 fn bench_ols_scaling(c: &mut Criterion) {
@@ -60,16 +60,14 @@ fn bench_smooth_sensitivity_paths(c: &mut Criterion) {
 }
 
 fn bench_hilbert(c: &mut Criterion) {
+    // The curve the Hilbert R-tree builder runs (in every dimension).
     let mut group = c.benchmark_group("ablation_hilbert");
-    let curve = HilbertCurve::new(18).unwrap();
+    let curve = NdCurve::<2>::hilbert(18).unwrap();
     group.bench_function("encode_order18", |b| {
-        let mut i = 0u32;
+        let mut i = 0u64;
         b.iter(|| {
-            i = i.wrapping_add(2654435761);
-            curve.encode(
-                black_box(i % curve.side()),
-                black_box((i >> 13) % curve.side()),
-            )
+            i = (i + 2654435761) % (1 << 32);
+            curve.encode(black_box([i % curve.side(), (i >> 13) % curve.side()]))
         })
     });
     group.bench_function("decode_order18", |b| {

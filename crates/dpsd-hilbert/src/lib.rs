@@ -10,8 +10,9 @@
 //! Two curve types are provided:
 //!
 //! * [`HilbertCurve`] — the classical planar (2-D) curve with `u32`
-//!   cell coordinates, kept verbatim so planar pipelines stay
-//!   bit-for-bit reproducible;
+//!   cell coordinates; `NdCurve::<2>` Hilbert has exactly its layout
+//!   (`encode`, `decode` and `range_bbox` agree), and it stays as that
+//!   reference and as a direct 2-D API;
 //! * [`NdCurve`] — the `D`-dimensional generalization (const-generic),
 //!   computing compact Hilbert indices with the Gray-code/rotation
 //!   scheme, or plain Z-order/Morton interleaving when constructed

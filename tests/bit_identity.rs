@@ -93,6 +93,7 @@ fn fingerprint<const D: usize>(tree: &PsdTree<D>) -> u64 {
 
 fn configs() -> Vec<(&'static str, PsdConfig)> {
     let d = domain();
+    let irregular = Rect::new(-1.3, -0.7, 70.1, 66.9).unwrap();
     vec![
         ("quadtree", PsdConfig::quadtree(d, 4, 0.5).with_seed(42)),
         (
@@ -129,6 +130,17 @@ fn configs() -> Vec<(&'static str, PsdConfig)> {
                 .with_prune_threshold(20.0)
                 .with_seed(13),
         ),
+        // An irregular domain makes cell widths and overlap fractions
+        // inexact, so these rows pin the association of the grid's
+        // prorated cell mass and the curve-cell box arithmetic.
+        (
+            "kd-cell-irregular",
+            PsdConfig::kd_cell(irregular, 4, 0.9, (37, 23)).with_seed(31),
+        ),
+        (
+            "hilbert-r-irregular",
+            PsdConfig::hilbert_r(irregular, 4, 0.6).with_seed(17),
+        ),
     ]
 }
 
@@ -147,6 +159,8 @@ const GOLDEN: &[(&str, u64)] = &[
     ("kd-pure", 0x8954417b338847a8),
     ("quadtree-leafonly", 0x5cd98e89c0987890),
     ("kd-standard-pruned", 0x745d30ad3549aec4),
+    ("kd-cell-irregular", 0xc9a7771a9ba4c869),
+    ("hilbert-r-irregular", 0x857a1f12f23e81a1),
 ];
 
 /// Deterministic clustered 3-D dataset for the dimension-generic
@@ -170,9 +184,9 @@ fn dataset_3d() -> Vec<Point<3>> {
     pts
 }
 
-/// Configs exercising the dimension-generic builders of the formerly
-/// planar families: `kd-cell` and `Hilbert-R` at `D = 3`, and the
-/// Z-order curve at `D = 2` (which bypasses the planar pipeline).
+/// Configs exercising the `kd-cell` and `Hilbert-R` builders beyond the
+/// plane: both families at `D = 3` (plus the Z-order curve, which the
+/// test also pins at `D = 2`).
 fn configs_nd() -> Vec<(&'static str, PsdConfig<3>)> {
     let d = Rect::from_corners([0.0; 3], [64.0; 3]).unwrap();
     vec![
@@ -193,18 +207,31 @@ fn configs_nd() -> Vec<(&'static str, PsdConfig<3>)> {
                 .with_hilbert_order(8)
                 .with_seed(11),
         ),
+        // Pins the grid's prorated-mass association, `((c·f0)·f1)·f2`,
+        // which only shows on a domain with inexact cell widths.
+        (
+            "kd-cell-3d-irregular",
+            PsdConfig::kd_cell(
+                Rect::from_corners([-1.3, -0.7, -2.9], [70.1, 66.9, 71.3]).unwrap(),
+                3,
+                0.9,
+                (9, 7),
+            )
+            .with_seed(31),
+        ),
     ]
 }
 
-/// Captured from this implementation when the families first became
-/// dimension-generic: any change here means the `D != 2` build pipeline
-/// (grid reads, curve encoding, RNG order) drifted and must be
-/// justified. Regenerate with `PRINT_FINGERPRINTS=1`.
+/// Captured from the dimension-generic builders: any change here means
+/// the `D != 2` build pipeline (grid reads and their mass association,
+/// curve encoding, RNG order) drifted and must be justified. Regenerate
+/// with `PRINT_FINGERPRINTS=1`.
 const GOLDEN_ND: &[(&str, u64)] = &[
     ("kd-cell-3d", 0x79f5ec77f4959744),
     ("hilbert-r-3d", 0xf5105717e3293c9e),
     ("zorder-r-3d", 0x5e488c8a66e047da),
     ("zorder-r-2d", 0xa676cc6cc7b4171e),
+    ("kd-cell-3d-irregular", 0xc824e40460defd4d),
 ];
 
 #[test]
